@@ -129,6 +129,16 @@ class LockBlockChain:
         """Blocks with zero outstanding structures (shrink candidates)."""
         return sum(1 for b in self._all_blocks if b.is_empty)
 
+    def demand_weight(self) -> int:
+        """This chain's weight when a grow is split across lock tables.
+
+        Outstanding structures plus one: the +1 keeps an idle table
+        fundable (it still needs a minimal allocation to serve its
+        first request without a synchronous borrow) and makes the
+        weights total strictly positive.
+        """
+        return self._used_slots + 1
+
     # -- linked-list plumbing ----------------------------------------------
 
     def _push_head(self, block: LockBlock) -> None:

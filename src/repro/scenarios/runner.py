@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.core.params import TuningParameters
+from repro.errors import ConfigurationError
 from repro.scenarios.grid import ScenarioGrid, ScenarioSpec
 from repro.scenarios.verdict import (
     FAIL,
@@ -267,14 +268,13 @@ def _stack_accounting_checks(stack, skip: frozenset) -> List[Check]:
             )
         )
     if "tuner-healthy" not in skip:
-        detector = getattr(stack, "detector", None)
-        detector_crash = getattr(detector, "crash", None)
+        detector = stack.detector
         checks.append(
             check(
                 "tuner-healthy",
                 stack.tuner.crash is None
                 and stack.service.frozen_reason is None
-                and detector_crash is None,
+                and (detector is None or detector.crash is None),
                 f"tuner crash={stack.tuner.crash!r}, "
                 f"frozen={stack.service.frozen_reason!r}",
             )
@@ -333,7 +333,7 @@ def _trace_ring_summary(stack) -> Dict[str, Any]:
         "truncated": 0,
         "held": 0,
     }
-    for tracer in getattr(stack, "request_tracers", []) or []:
+    for tracer in stack.request_tracers:
         counts = tracer.summary()
         summary["sampled"] += counts["started"]
         summary["finished"] += counts["finished"]
@@ -364,6 +364,13 @@ def _service_metrics(stack, report, dss: Optional[_DssTenant]) -> Dict[str, Any]
     return metrics
 
 
+def _topology(params: Mapping[str, Any]) -> str:
+    """The stack a service scenario builds (one of chaos ``TOPOLOGIES``)."""
+    if int(params.get("workers", 0)) > 0:
+        return "pool"
+    return "sharded" if int(params.get("shards", 0)) > 0 else "local"
+
+
 def _run_service_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Drive one threaded service scenario (any stack shape)."""
     from repro.service.chaos import build_chaos
@@ -373,9 +380,16 @@ def _run_service_scenario(spec: ScenarioSpec) -> ScenarioResult:
     params = spec.params
     mix = build_regime(str(params.get("regime", "uniform")))
     injection = build_chaos(spec.chaos) if spec.chaos else None
+    topology = _topology(params)
+    if injection is not None and topology not in injection.requires:
+        raise ConfigurationError(
+            f"chaos {injection.name!r} runs on "
+            f"{'/'.join(sorted(injection.requires))} stacks, but this "
+            f"scenario's topology is {topology!r}"
+        )
     skip = injection.skip_checks if injection else frozenset()
     warm = int(params.get("chaos_warm_requests", 50))
-    if int(params.get("workers", 0)) > 0:
+    if topology == "pool":
         return _run_pool_scenario(spec, mix, injection, skip, warm)
 
     stack = _build_service_stack(params)

@@ -18,9 +18,13 @@ concurrency:
   memory-pressure admission postures;
 * :mod:`repro.service.stack` -- one-call assembly of the whole stack;
 * :mod:`repro.service.ledger` -- the shard memory ledger and the
-  aggregate chain the controller tunes when sharded;
+  aggregate chain the controller tunes when sharded (in-process or
+  over worker processes);
 * :mod:`repro.service.sharded` -- per-shard lock tables with global
-  STMM arbitration and cross-shard deadlock sweeps;
+  STMM arbitration and the cross-shard deadlock sweep;
+* :mod:`repro.service.workers` -- the same ledger, sweep and tuner
+  loop over forked worker processes (imported on demand: it pulls in
+  the wire protocol, which imports this package);
 * :mod:`repro.service.driver` -- closed-loop multi-threaded load;
 * :mod:`repro.service.capture` -- demand-trace capture for offline
   replay through :mod:`repro.workloads.replay`.

@@ -24,9 +24,10 @@ service docs promise when that component dies:
     and/or lock-list-full rollbacks -- with accounting still exact.
 
 The scenario runner (:mod:`repro.scenarios.runner`) arms one injection
-per chaos scenario, calls :meth:`ChaosInjection.inject` once the load
-is warm, and folds :meth:`ChaosInjection.verify` checks into the
-scenario verdict; ``skip_checks`` names the standard checks that a
+per chaos scenario -- after checking that the scenario's topology is
+one the injection ``requires`` -- calls :meth:`ChaosInjection.inject`
+once the load is warm, and folds :meth:`ChaosInjection.verify` checks
+into the scenario verdict; ``skip_checks`` names the standard checks that a
 *successfully* degraded run is exempt from (e.g. completeness after a
 SIGKILL), so degradation reads as ``expected-degraded``, not ``fail``.
 """
@@ -67,6 +68,11 @@ def wait_until_warm(
     return False
 
 
+#: The stack topologies a scenario can run: the single-manager stack,
+#: in-process shards, and the multi-process worker pool.
+TOPOLOGIES: FrozenSet[str] = frozenset({"local", "sharded", "pool"})
+
+
 class ChaosInjection:
     """Base class: one named fault plus its degradation contract."""
 
@@ -76,8 +82,9 @@ class ChaosInjection:
     expect_degraded = True
     #: Standard runner checks a degraded run is exempt from.
     skip_checks: FrozenSet[str] = frozenset()
-    #: Stack kinds the injection applies to.
-    requires: FrozenSet[str] = frozenset()
+    #: Topologies (of :data:`TOPOLOGIES`) the injection runs on; the
+    #: scenario runner rejects any other before building the stack.
+    requires: FrozenSet[str] = TOPOLOGIES
 
     def inject(self, stack) -> None:
         """Fire the fault against a warm, running stack."""
@@ -94,18 +101,15 @@ class TunerCrashInjection(ChaosInjection):
     name = "tuner-crash"
     expect_degraded = True
     skip_checks = frozenset({"tuner-healthy"})
+    #: In-process only: forcing a pass from the chaos thread would make
+    #: it a second consumer of the worker pool's borrow pipes.
+    requires = frozenset({"local", "sharded"})
 
     def inject(self, stack) -> None:
-        controller = getattr(stack, "controller", None)
-        if controller is None:
-            raise ConfigurationError(
-                "tuner-crash chaos needs a stack with a controller"
-            )
-
         def explode(*args, **kwargs):
             raise ChaosError("chaos: injected tuner crash")
 
-        controller.compute_target_pages = explode
+        stack.controller.compute_target_pages = explode
         # Force a pass now instead of waiting out the daemon interval:
         # the crash must land even if the remaining load is brief.
         try:
@@ -166,14 +170,9 @@ class ShardStallInjection(ChaosInjection):
         self.stall_s = stall_s
 
     def inject(self, stack) -> None:
-        shards = getattr(stack.service, "shards", None)
-        if not shards:
-            raise ConfigurationError(
-                "shard-stall chaos needs the sharded stack (shards >= 1)"
-            )
         # Holding the shard condition blocks every lock/release on that
         # shard -- and the tuner's all-shard pass -- until we let go.
-        with shards[0]._cond:
+        with stack.service.shards[0]._cond:
             time.sleep(self.stall_s)
 
     def verify(self, stack, report) -> List[Check]:
@@ -214,12 +213,7 @@ class WorkerSigkillInjection(ChaosInjection):
         self.victim = victim
 
     def inject(self, stack) -> None:
-        handles = getattr(stack, "_handles", None)
-        if not handles:
-            raise ConfigurationError(
-                "worker-sigkill chaos needs the worker pool (workers >= 1)"
-            )
-        os.kill(handles[self.victim].process.pid, signal.SIGKILL)
+        os.kill(stack._handles[self.victim].process.pid, signal.SIGKILL)
         # The pool's monitor notices the death asynchronously; wait for
         # the freeze so verification never races the detection.
         deadline = time.monotonic() + 15.0
@@ -278,6 +272,9 @@ class OverflowExhaustionInjection(ChaosInjection):
     name = "overflow-exhaustion"
     expect_degraded = True
     skip_checks = frozenset({"admission-sheds"})
+    #: ``verify`` reads the merged lock-manager counters, which the
+    #: worker pool keeps in its child processes.
+    requires = frozenset({"local", "sharded"})
 
     def inject(self, stack) -> None:
         return None

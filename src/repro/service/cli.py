@@ -80,8 +80,8 @@ from repro.service.telemetry import service_telemetry
 from repro.service.top import run_top
 from repro.service.workers import WorkerPoolConfig, WorkerPoolStack
 
-#: Either stack shape; both expose the same reporting surface.
-AnyStack = Union[ServiceStack, ShardedServiceStack]
+#: Any stack shape; all three declare the same reporting surface.
+AnyStack = Union[ServiceStack, ShardedServiceStack, WorkerPoolStack]
 
 
 def _add_load_args(parser: argparse.ArgumentParser) -> None:
@@ -231,25 +231,9 @@ def _requests_per_thread(args: argparse.Namespace) -> Optional[int]:
     return None
 
 
-def _build_stack(args: argparse.Namespace) -> AnyStack:
-    broker = getattr(args, "broker", False)
-    if args.shards > 0:
-        return ShardedServiceStack(
-            ShardedServiceConfig(
-                total_memory_pages=args.memory_pages,
-                initial_locklist_pages=args.locklist_pages,
-                tuner_interval_s=args.tuner_interval,
-                max_in_flight=max(4, args.threads),
-                admission_queue_depth=4 * max(4, args.threads),
-                params=TuningParameters(),
-                shards=args.shards,
-                ops_port=args.ops_port,
-                span_sample_every=args.span_sample,
-                wait_profile=args.wait_profile,
-                broker=broker,
-            )
-        )
-    config = ServiceConfig(
+def _config_kwargs(args: argparse.Namespace) -> dict:
+    """The sizing every stack shape takes from the load arguments."""
+    return dict(
         total_memory_pages=args.memory_pages,
         initial_locklist_pages=args.locklist_pages,
         tuner_interval_s=args.tuner_interval,
@@ -257,15 +241,25 @@ def _build_stack(args: argparse.Namespace) -> AnyStack:
         admission_queue_depth=4 * max(4, args.threads),
         params=TuningParameters(),
         ops_port=args.ops_port,
+    )
+
+
+def _build_stack(args: argparse.Namespace) -> AnyStack:
+    common = dict(
+        _config_kwargs(args),
         span_sample_every=args.span_sample,
         wait_profile=args.wait_profile,
-        broker=broker,
+        broker=getattr(args, "broker", False),
     )
-    return ServiceStack(config)
+    if args.shards > 0:
+        return ShardedServiceStack(
+            ShardedServiceConfig(shards=args.shards, **common)
+        )
+    return ServiceStack(ServiceConfig(**common))
 
 
 def _announce_ops(stack: AnyStack) -> None:
-    ops = getattr(stack, "ops", None)
+    ops = stack.ops
     if ops is not None and ops.running:
         print(
             f"ops plane: {ops.url} "
@@ -294,8 +288,8 @@ def _run_load(
     return driver.run()
 
 
-def _print_report(stack: AnyStack, report: DriverReport) -> None:
-    stats = stack.manager_stats
+def _print_load(report: DriverReport) -> None:
+    """The LoadDriver half of a run report (any stack shape)."""
     print(f"threads:            {report.threads}")
     print(f"wall time:          {report.wall_s:.2f} s")
     print(f"lock requests:      {report.lock_requests}")
@@ -305,6 +299,11 @@ def _print_report(stack: AnyStack, report: DriverReport) -> None:
         f"rollbacks:          {report.rollbacks_deadlock} deadlock, "
         f"{report.rollbacks_timeout} timeout, {report.rollbacks_full} full"
     )
+
+
+def _print_report(stack: AnyStack, report: DriverReport) -> None:
+    stats = stack.manager_stats
+    _print_load(report)
     print(f"admission sheds:    {report.admission_sheds}")
     print(
         f"lock memory:        {stack.chain.allocated_pages} pages in "
@@ -316,7 +315,7 @@ def _print_report(stack: AnyStack, report: DriverReport) -> None:
         f"{stats.sync_growth_blocks} blocks grown synchronously, "
         f"{stats.escalations.count} escalations"
     )
-    broker = getattr(stack, "broker", None)
+    broker = stack.broker
     if broker is not None:
         status = broker.status(audit_tail=0)
         print(
@@ -336,10 +335,9 @@ def _print_report(stack: AnyStack, report: DriverReport) -> None:
 
 def _print_shard_breakdown(stack: AnyStack) -> None:
     """Per-shard stats for the sharded stack (imbalance at a glance)."""
-    service = getattr(stack, "service", None)
-    shards = getattr(service, "shards", None)
-    if not shards or len(shards) < 2:
+    if not isinstance(stack, ShardedServiceStack) or stack.config.shards < 2:
         return
+    shards = stack.service.shards
     ledger = stack.ledger
     print("per-shard breakdown:")
     print(
@@ -390,44 +388,59 @@ def _check_shutdown_accounting(stack: AnyStack) -> List[str]:
         failures.append(
             f"locklist heap {heap}p != chain {stack.chain.allocated_pages}p"
         )
+    return failures + _check_stack_health(stack)
+
+
+def _check_stack_health(stack: AnyStack) -> List[str]:
+    """Invariants hold and neither the tuner nor the sweep crashed."""
+    failures: List[str] = []
     try:
         stack.check_invariants()
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         failures.append(f"invariant check failed: {exc}")
     if stack.tuner.crash is not None:
         failures.append(f"tuner crashed: {stack.tuner.crash!r}")
-    detector = getattr(stack, "detector", None)
-    if detector is not None and detector.crash is not None:
-        failures.append(f"deadlock sweep crashed: {detector.crash!r}")
+    if stack.detector is not None and stack.detector.crash is not None:
+        failures.append(f"deadlock sweep crashed: {stack.detector.crash!r}")
     return failures
+
+
+def _load_failures(
+    args: argparse.Namespace, report: DriverReport
+) -> List[str]:
+    """Load-side failures: worker errors, short runs, excess sheds."""
+    failures = list(report.worker_errors)
+    expected = args.threads * args.requests
+    if args.duration is None and report.lock_requests < expected:
+        failures.append(
+            f"only {report.lock_requests}/{expected} lock requests completed"
+        )
+    return failures + _shed_failures(args, report)
+
+
+def _exit_status(failures: List[str], label: str, ok: str) -> int:
+    """Print the run's verdict; 1 when anything failed, else 0."""
+    if failures:
+        print(f"\n{label} FAILED:", file=sys.stderr)
+        for failure in failures:
+            print(f"  - {failure}", file=sys.stderr)
+        return 1
+    print(f"\n{ok}")
+    return 0
 
 
 def _build_pool(args: argparse.Namespace) -> WorkerPoolStack:
     return WorkerPoolStack(
         WorkerPoolConfig(
-            total_memory_pages=args.memory_pages,
-            initial_locklist_pages=args.locklist_pages,
-            tuner_interval_s=args.tuner_interval,
-            max_in_flight=max(4, args.threads),
-            admission_queue_depth=4 * max(4, args.threads),
-            params=TuningParameters(),
             workers=args.workers,
-            ops_port=args.ops_port,
             trace_sample_every=getattr(args, "trace_sample", 0),
+            **_config_kwargs(args),
         )
     )
 
 
 def _print_pool_report(pool: WorkerPoolStack, report: DriverReport) -> None:
-    print(f"threads:            {report.threads}")
-    print(f"wall time:          {report.wall_s:.2f} s")
-    print(f"lock requests:      {report.lock_requests}")
-    print(f"requests/s:         {report.requests_per_s:,.0f}")
-    print(f"commits:            {report.commits}")
-    print(
-        f"rollbacks:          {report.rollbacks_deadlock} deadlock, "
-        f"{report.rollbacks_timeout} timeout, {report.rollbacks_full} full"
-    )
+    _print_load(report)
     print(
         f"lock memory:        {pool.chain.allocated_pages} pages in "
         f"{pool.chain.block_count} blocks over {pool.config.workers} "
@@ -436,7 +449,7 @@ def _print_pool_report(pool: WorkerPoolStack, report: DriverReport) -> None:
     print(
         f"tuning:             {pool.tuner.intervals_run} intervals, "
         f"{pool.ledger.total_borrowed_blocks()} blocks borrowed "
-        f"synchronously, {len(pool.detector.victims)} cross-worker "
+        f"synchronously, {len(pool.detector.stats.victims)} cross-worker "
         f"deadlock victims"
     )
     if pool.config.trace_sample_every > 0:
@@ -489,33 +502,18 @@ def _net_stress_pool(args: argparse.Namespace) -> int:
         pool.stop()
     _print_pool_report(pool, report)
     _export_telemetry(pool, args)
-    failures = list(report.worker_errors)
-    expected = args.threads * args.requests
-    if args.duration is None and report.lock_requests < expected:
-        failures.append(
-            f"only {report.lock_requests}/{expected} lock requests completed"
-        )
-    failures.extend(_shed_failures(args, report))
+    failures = _load_failures(args, report)
     rec = pool.reconciliation
     if rec is None or not rec.ok:
         failures.append(f"worker reconciliation failed: {rec!r}")
     if pool.frozen_reason is not None:
         failures.append(f"pool froze: {pool.frozen_reason}")
-    if pool.tuner.crash is not None:
-        failures.append(f"arbiter crashed: {pool.tuner.crash!r}")
-    if pool.detector.crash is not None:
-        failures.append(f"deadlock sweep crashed: {pool.detector.crash!r}")
-    try:
-        pool.check_invariants()
-    except Exception as exc:  # noqa: BLE001 - reported, not raised
-        failures.append(f"invariant check failed: {exc}")
-    if failures:
-        print("\nNET STRESS FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("\nnet stress OK: byte-exact reconciliation across workers")
-    return 0
+    failures.extend(_check_stack_health(pool))
+    return _exit_status(
+        failures,
+        "NET STRESS",
+        "net stress OK: byte-exact reconciliation across workers",
+    )
 
 
 def _net_stress_single(args: argparse.Namespace) -> int:
@@ -552,21 +550,22 @@ def _net_stress_single(args: argparse.Namespace) -> int:
             server.stop()
             shutil.rmtree(sock_dir, ignore_errors=True)
     _print_report(stack, report)
-    failures = list(report.worker_errors)
-    expected = args.threads * args.requests
-    if args.duration is None and report.lock_requests < expected:
-        failures.append(
-            f"only {report.lock_requests}/{expected} lock requests completed"
-        )
-    failures.extend(_shed_failures(args, report))
-    failures.extend(_check_shutdown_accounting(stack))
-    if failures:
-        print("\nNET STRESS FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("\nnet stress OK: exact accounting verified at shutdown")
-    return 0
+    return _exit_status(
+        _load_failures(args, report) + _check_shutdown_accounting(stack),
+        "NET STRESS",
+        "net stress OK: exact accounting verified at shutdown",
+    )
+
+
+def _serve_until_done(duration_s: Optional[float]) -> None:
+    """Block for ``duration_s`` (None = until Ctrl-C)."""
+    print("serving (Ctrl-C to stop)", flush=True)
+    deadline = None if duration_s is None else time.monotonic() + duration_s
+    try:
+        while deadline is None or time.monotonic() < deadline:
+            time.sleep(0.2)
+    except KeyboardInterrupt:
+        pass
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -577,16 +576,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             _announce_ops(pool)
             for endpoint, _port in pool.endpoints:
                 print(f"worker endpoint: {endpoint}", flush=True)
-            print("serving (Ctrl-C to stop)", flush=True)
-            deadline = (
-                time.monotonic() + args.duration
-                if args.duration is not None
-                else None
-            )
-            while deadline is None or time.monotonic() < deadline:
-                time.sleep(0.2)
-        except KeyboardInterrupt:
-            pass
+            _serve_until_done(args.duration)
         finally:
             pool.stop()
         rec = pool.reconciliation
@@ -606,7 +596,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             path=args.socket,
-            metrics=getattr(stack, "metrics", None),
+            metrics=stack.metrics,
         )
         try:
             if args.socket:
@@ -614,16 +604,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             else:
                 host, port = server.address
                 print(f"serving on {host}:{port}", flush=True)
-            print("serving (Ctrl-C to stop)", flush=True)
-            deadline = (
-                time.monotonic() + args.duration
-                if args.duration is not None
-                else None
-            )
-            while deadline is None or time.monotonic() < deadline:
-                time.sleep(0.2)
-        except KeyboardInterrupt:
-            pass
+            _serve_until_done(args.duration)
         finally:
             server.stop()
     failures = _check_shutdown_accounting(stack)
@@ -669,21 +650,11 @@ def cmd_stress(args: argparse.Namespace) -> int:
         report = _run_load(stack, args)
     _print_report(stack, report)
     _export_telemetry(stack, args)
-    failures = list(report.worker_errors)
-    expected = args.threads * args.requests
-    if args.duration is None and report.lock_requests < expected:
-        failures.append(
-            f"only {report.lock_requests}/{expected} lock requests completed"
-        )
-    failures.extend(_shed_failures(args, report))
-    failures.extend(_check_shutdown_accounting(stack))
-    if failures:
-        print("\nSTRESS FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("\nstress OK: exact accounting verified at shutdown")
-    return 0
+    return _exit_status(
+        _load_failures(args, report) + _check_shutdown_accounting(stack),
+        "STRESS",
+        "stress OK: exact accounting verified at shutdown",
+    )
 
 
 def cmd_capture(args: argparse.Namespace) -> int:

@@ -1,17 +1,14 @@
 """The shard memory ledger: one LOCKLIST budget over many lock tables.
 
-The sharded service (:mod:`repro.service.sharded`) partitions the lock
-space across N independent lock managers, each with its own
-:class:`~repro.lockmgr.blocks.LockBlockChain`.  The paper's tuning
-algorithm, however, arbitrates exactly *one* LOCKLIST against the rest
-of database memory.  This module is the bridge:
+The paper's tuning algorithm arbitrates exactly *one* LOCKLIST against
+the rest of database memory, but both scale-out topologies split the
+lock space over N lock tables: in-process shards
+(:mod:`repro.service.sharded`) and forked worker processes
+(:mod:`repro.service.workers`).  This module is the bridge for both:
 
 * :class:`ShardMemoryLedger` is the reporting side of the protocol:
   every shard's demand (outstanding structures), free-list occupancy
-  and cumulative synchronous borrows are readable in one place, and the
-  global views the controller and the cross-shard deadlock detector
-  need (aggregate escalation count, per-application slot totals) are
-  computed here.
+  and cumulative synchronous borrows are readable in one place.
 * :class:`AggregateLockChain` is the acting side: it duck-types the
   :class:`LockBlockChain` surface that
   :class:`~repro.core.controller.LockMemoryController` and
@@ -23,6 +20,14 @@ of database memory.  This module is the bridge:
   free blocks (ties to the highest shard index -- the "tail" of the
   round-robin initial layout, mirroring the unsharded tail-first
   shrink protocol).
+
+Both work over per-shard *chains*: anything with the
+:class:`LockBlockChain` surface, ``demand_weight()`` included.  In-process
+shards hand in their real chains; the worker pool hands in one
+:class:`~repro.service.workers.WorkerChain` view per worker, whose
+reads come from the parent's block mirror and whose writes are control
+calls.  Topology-specific rules (a dead worker is unfundable, a live
+one keeps a block) are properties of those views, not branches here.
 
 With one shard both classes degenerate to pass-throughs, which is what
 makes the ``shards=1`` equivalence against the unsharded stack exact.
@@ -38,13 +43,10 @@ accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence
+from typing import List, Sequence
 
-from repro.errors import ServiceError
+from repro.errors import MemoryAccountingError, ServiceError
 from repro.lockmgr.blocks import LockBlockChain
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.service import LockService
 
 
 @dataclass
@@ -64,14 +66,14 @@ class ShardOccupancy:
 class ShardMemoryLedger:
     """Global read-side of the shard memory protocol (see module doc)."""
 
-    def __init__(self, shards: Sequence["LockService"]) -> None:
-        if not shards:
+    def __init__(self, chains: Sequence[LockBlockChain]) -> None:
+        if not chains:
             raise ServiceError("ledger needs at least one shard")
-        self._shards = list(shards)
-        self._borrowed_blocks = [0] * len(self._shards)
+        self._chains = list(chains)
+        self._borrowed_blocks = [0] * len(self._chains)
 
     def __len__(self) -> int:
-        return len(self._shards)
+        return len(self._chains)
 
     # -- reporting (shards -> ledger) --------------------------------------
 
@@ -84,30 +86,25 @@ class ShardMemoryLedger:
     def borrowed_blocks(self, shard: int) -> int:
         return self._borrowed_blocks[shard]
 
-    # -- global views (ledger -> controller / detector) --------------------
+    # -- global views (ledger -> controller) -------------------------------
 
     def occupancy(self) -> List[ShardOccupancy]:
         """Per-shard demand and free-list occupancy, in shard order."""
         return [
             ShardOccupancy(
                 shard=idx,
-                used_slots=shard.chain.used_slots,
-                capacity_slots=shard.chain.capacity_slots,
-                free_fraction=shard.chain.free_fraction(),
-                entirely_free_blocks=shard.chain.entirely_free_blocks(),
+                used_slots=chain.used_slots,
+                capacity_slots=chain.capacity_slots,
+                free_fraction=chain.free_fraction(),
+                entirely_free_blocks=chain.entirely_free_blocks(),
                 borrowed_blocks=self._borrowed_blocks[idx],
             )
-            for idx, shard in enumerate(self._shards)
+            for idx, chain in enumerate(self._chains)
         ]
 
     def demand_weights(self) -> List[int]:
-        """Per-shard grow weights: outstanding structures, plus one.
-
-        The +1 keeps an idle shard fundable (it still needs a minimal
-        allocation to serve its first request without a synchronous
-        borrow) and makes the weights total strictly positive.
-        """
-        return [shard.chain.used_slots + 1 for shard in self._shards]
+        """Per-shard grow weights (:meth:`LockBlockChain.demand_weight`)."""
+        return [chain.demand_weight() for chain in self._chains]
 
     def grant_split(self, blocks: int) -> List[int]:
         """Split a grant of ``blocks`` across shards proportional to demand.
@@ -130,22 +127,6 @@ class ShardMemoryLedger:
             for i in by_fraction[:remainder]:
                 split[i] += 1
         return split
-
-    def app_slots(self, app_id: int) -> int:
-        """Lock structures charged to ``app_id`` across every shard.
-
-        The cross-shard deadlock detector's victim rule reads this, so
-        a victim is judged by its *global* footprint, exactly as the
-        single-manager detector judges it by its only footprint.
-        """
-        return sum(shard.manager.app_slots(app_id) for shard in self._shards)
-
-    def total_escalations(self) -> int:
-        """Cumulative escalations across shards (feeds the controller's
-        escalation-recovery doubling rule)."""
-        return sum(
-            shard.manager.stats.escalations.count for shard in self._shards
-        )
 
     def total_borrowed_blocks(self) -> int:
         """Cumulative synchronous borrows across every shard."""
@@ -189,7 +170,9 @@ class AggregateLockChain:
 
     @property
     def free_slots(self) -> int:
-        return self.capacity_slots - self.used_slots
+        # Clamped: a chain view whose occupancy is sampled may briefly
+        # report more used slots than its current capacity.
+        return max(0, self.capacity_slots - self.used_slots)
 
     @property
     def allocated_pages(self) -> int:
@@ -207,15 +190,33 @@ class AggregateLockChain:
     # -- grow / shrink (the controller's physical hooks) -------------------
 
     def add_blocks(self, count: int) -> int:
-        """Distribute ``count`` new blocks across shards by demand."""
+        """Distribute ``count`` new blocks across shards by demand.
+
+        A chain may accept fewer blocks than its share (a worker that
+        died mid-pass); the shortfall is re-split once over the updated
+        demand, and a shortfall that survives that round is an error.
+        """
         if count < 0:
             raise ValueError(f"block count must be non-negative, got {count}")
         if count == 0:
             return 0
-        for chain, share in zip(self._chains, self._ledger.grant_split(count)):
-            if share:
-                chain.add_blocks(share)
+        undelivered = self._deliver(self._ledger.grant_split(count))
+        if undelivered:
+            undelivered = self._deliver(self._ledger.grant_split(undelivered))
+        if undelivered:
+            raise MemoryAccountingError(
+                f"{undelivered} of {count} granted blocks could not be "
+                "delivered to any shard"
+            )
         return count
+
+    def _deliver(self, split: Sequence[int]) -> int:
+        """Hand each chain its share; returns the blocks not accepted."""
+        undelivered = 0
+        for chain, share in zip(self._chains, split):
+            if share:
+                undelivered += share - chain.add_blocks(share)
+        return undelivered
 
     def release_blocks(self, count: int, partial: bool = False) -> int:
         """Free up to ``count`` entirely-empty blocks across shards.

@@ -41,17 +41,28 @@ import itertools
 import threading
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional, Set
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from contextlib import contextmanager
 
 from repro.errors import (
+    DeadlockError,
     LockManagerError,
     RequestCancelledError,
     ServiceClosedError,
     ServiceError,
 )
 from repro.lockmgr.blocks import LockBlockChain
+from repro.lockmgr.detector import build_wait_for_graph
 from repro.lockmgr.manager import LockManager, LockTimeoutError
 from repro.lockmgr.modes import LockMode
 from repro.service.clock import Clock, MonotonicClock
@@ -411,6 +422,36 @@ class LockService:
                 if self._metrics is not None:
                     self._m_cancels.inc()
             return cancelled
+
+    # -- cross-shard deadlock sweep ---------------------------------------
+
+    def graph(
+        self, waiting: Set[int]
+    ) -> Tuple[Dict[int, List[int]], Dict[int, int]]:
+        """This shard's wait-for graph against a *global* waiting set.
+
+        Also returns the lock structures each of those applications
+        holds here: summed over every shard, that is the global
+        footprint the sweep's victim rule compares.
+        """
+        with self._mutex:
+            graph = build_wait_for_graph(self.manager, waiting)
+            slots = {app: self.manager.app_slots(app) for app in waiting}
+            return graph, slots
+
+    def victimize(self, app_id: int, message: str) -> Tuple[bool, str]:
+        """Fail ``app_id``'s pending wait with a :class:`DeadlockError`.
+
+        Returns whether a wait was cancelled (False when the grant won
+        the race) and the resource it was waiting on.
+        """
+        with self._mutex:
+            entry = self.manager._waiting_on.get(app_id)  # noqa: SLF001
+            resource = "" if entry is None else str(entry[0].resource)
+            cancelled = self.manager.cancel_wait(app_id, DeadlockError(message))
+            if cancelled:
+                self.manager.stats.deadlocks += 1
+            return cancelled, resource
 
     # -- tuning degradation ------------------------------------------------
 

@@ -29,8 +29,9 @@ the resource space across N independent lock managers:
   cycles (a same-shard cycle therefore never persists), so any cycle
   in the merged graph necessarily spans shards;
   :class:`ShardedDeadlockDetector` sweeps for those on a wall-clock
-  interval, choosing victims by *global* lock footprint from the
-  ledger with the lowest-app-id tie-break.
+  interval, choosing victims by *global* lock footprint (slots summed
+  over the shards) with the lowest-app-id tie-break.  The worker pool
+  runs the same sweep over its worker processes.
 
 Lock ordering protocol (deadlock-freedom across internal actors):
 
@@ -53,31 +54,36 @@ unsharded stack's accounting exactly (asserted by the property tests).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.core.controller import LockMemoryController
-from repro.core.maxlocks import AdaptiveMaxlocks
 from repro.errors import (
     ConfigurationError,
-    DeadlockError,
     ServiceClosedError,
     ServiceError,
 )
 from repro.lockmgr.blocks import LockBlockChain
 from repro.lockmgr.detector import (
     DetectorStats,
-    build_wait_for_graph,
     find_cycles_in_graph,
     merge_wait_graphs,
 )
 from repro.lockmgr.manager import LockManagerStats
 from repro.lockmgr.modes import LockMode
-from repro.memory.stmm import Stmm
 from repro.obs.incidents import IncidentLog, IncidentRecorder
 from repro.obs.registry import MetricRegistry
 from repro.obs.spans import RequestSpanSampler
@@ -89,13 +95,14 @@ from repro.service.ops import OpsServer
 from repro.service.service import LockService, ServiceStats, _USE_DEFAULT
 from repro.service.stack import (
     ServiceConfig,
+    StackSurface,
     build_broker,
     build_memory_registry,
-    controller_params,
-    wait_class_payload,
+    check_scale_out,
+    initial_block_split,
+    publish_stack_gauges,
+    stmm_payload,
 )
-from repro.service.tuner import TunerDaemon
-from repro.units import PAGES_PER_BLOCK, round_pages_to_blocks
 
 
 def shard_of(table_id: int, shards: int) -> int:
@@ -121,18 +128,8 @@ class ShardedServiceConfig(ServiceConfig):
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.deadlock_interval_s <= 0:
-            raise ConfigurationError(
-                f"deadlock_interval_s must be positive, "
-                f"got {self.deadlock_interval_s}"
-            )
         super().__post_init__()
-        blocks = round_pages_to_blocks(self.initial_locklist_pages) // PAGES_PER_BLOCK
-        if blocks < self.shards:
-            raise ConfigurationError(
-                f"initial locklist of {blocks} blocks cannot seed "
-                f"{self.shards} shards with one block each"
-            )
+        check_scale_out(self, self.shards, "shards")
 
 
 class _Session:
@@ -216,10 +213,9 @@ class ShardedLockService:
             for idx, chain in enumerate(chains)
         ]
         self.num_shards = len(self.shards)
-        self.ledger = ShardMemoryLedger(self.shards)
-        self.chain = AggregateLockChain(
-            [shard.chain for shard in self.shards], self.ledger
-        )
+        chains = [shard.chain for shard in self.shards]
+        self.ledger = ShardMemoryLedger(chains)
+        self.chain = AggregateLockChain(chains, self.ledger)
         self._cond = _AllShardConds([shard._cond for shard in self.shards])
         #: Session-lifecycle counters; request counters live in the
         #: shards (see :meth:`aggregate_stats`).
@@ -248,6 +244,13 @@ class ShardedLockService:
         for shard in self.shards:
             waiting |= shard.waiting_sessions()
         return waiting
+
+    def total_escalations(self) -> int:
+        """Cumulative escalations across shards (feeds the controller's
+        escalation-recovery doubling rule)."""
+        return sum(
+            shard.manager.stats.escalations.count for shard in self.shards
+        )
 
     def check_invariants(self) -> None:
         """Every shard's accounting, plus the adoption index."""
@@ -487,14 +490,29 @@ class ShardedLockService:
 class ShardedDeadlockDetector:
     """Wall-clock sweep for cycles that span shards.
 
+    Serves both scale-out topologies: the shards are in-process
+    :class:`LockService` instances or the worker pool's per-worker
+    views (:class:`~repro.service.workers.WorkerChain`).  Each shard
+    exposes ``waiting_sessions()``, ``graph(waiting) -> (graph,
+    slots)`` and ``victimize(app, message) -> (cancelled, resource)``.
+
     Shard-local cycles cannot exist (each shard keeps the manager's
     immediate detection), so every cycle in the merged wait-for graph
-    crosses a shard boundary.  The sweep holds all shard conditions,
-    merges the per-shard graphs (:func:`merge_wait_graphs` -- which
-    also audits the one-wait-per-session invariant), and victimizes by
-    **global** lock footprint from the ledger, ties broken by lowest
+    crosses a shard boundary.  A sweep builds every shard's graph
+    against the *global* waiting set, merges them
+    (:func:`merge_wait_graphs` -- which also audits the
+    one-wait-per-session invariant), and victimizes by **global** lock
+    footprint (slots summed over shards), ties broken by lowest
     application id -- the same pure-function-of-membership contract as
     the single-manager detector.
+
+    Snapshot policy: with ``snapshot_lock`` (the in-process stack
+    passes all shard conditions) the graphs form one atomic snapshot
+    and a cycle is victimized on first sight.  Without it (worker
+    processes answer one round trip at a time) a cycle is victimized
+    only when seen in **two consecutive sweeps** -- a real deadlock is
+    permanent until broken, a phantom from skewed snapshots dissolves
+    by itself.
 
     Degraded mode: if the sweep thread dies (``crash`` is set), tuning
     is *not* frozen -- lock memory management is unaffected -- but
@@ -504,18 +522,24 @@ class ShardedDeadlockDetector:
     """
 
     def __init__(
-        self, service: ShardedLockService, *, interval_s: float = 0.25
+        self,
+        shards: Sequence,
+        *,
+        interval_s: float = 0.25,
+        snapshot_lock: Optional[ContextManager] = None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
-        self.service = service
+        self.shards = list(shards)
         self.interval_s = interval_s
+        self.snapshot_lock = snapshot_lock
         self.stats = DetectorStats()
         self.crash: Optional[BaseException] = None
-        #: Optional per-shard repro.obs.incidents.IncidentRecorder list;
-        #: a victimized cycle is then captured with full forensics on
-        #: the victim's shard.
-        self.incidents: Optional[List[IncidentRecorder]] = None
+        #: Optional ``(shard, victim, resource, cycle)`` hook called
+        #: after each successful victimization (incident capture).
+        self.on_victim: Optional[Callable[[int, int, str, List[int]], None]] = None
+        #: Cycles seen once, awaiting confirmation (no snapshot lock).
+        self._pending: Set[FrozenSet[int]] = set()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -532,6 +556,15 @@ class ShardedDeadlockDetector:
         if self._thread is not None:
             self._thread.join()
 
+    def status(self) -> dict:
+        """The ``/healthz`` ``detector`` block."""
+        return {
+            "alive": self._thread is not None and self._thread.is_alive(),
+            "crash": None if self.crash is None else str(self.crash),
+            "checks": self.stats.checks,
+            "victims": len(self.stats.victims),
+        }
+
     def _run(self) -> None:
         while not self._stop.wait(self.interval_s):
             try:
@@ -542,72 +575,56 @@ class ShardedDeadlockDetector:
 
     def check(self) -> int:
         """One cross-shard sweep; returns the number of victims."""
-        service = self.service
-        # Idle short-circuit, read WITHOUT the shard conditions: a
-        # sweep that takes every condition stalls all request threads,
-        # and at sub-second intervals almost every sweep finds nobody
-        # waiting.  The dirty read can only delay detection: a cycle's
-        # waiters stay in their shards' wait maps until a victim is
-        # rolled back, so the next sweep (one interval later) sees
-        # them -- the same bound DLCHKTIME already implies.
-        if not any(shard.manager.has_waiters() for shard in service.shards):
-            self.stats.checks += 1
+        self.stats.checks += 1
+        # The waiting set is read WITHOUT the snapshot lock: a sweep
+        # that takes every shard condition stalls all request threads,
+        # and almost every sweep finds nobody waiting.  A stale set can
+        # only prune edges (graph nodes are the shards' waiters at
+        # graph time), so it delays detection by one interval at most
+        # and never invents a cycle.
+        waiting: Set[int] = set()
+        for shard in self.shards:
+            waiting |= shard.waiting_sessions()
+        if not waiting:
+            self._pending.clear()
             return 0
-        with service._cond:
-            self.stats.checks += 1
-            # Per-shard graphs must be built against the GLOBAL waiting
-            # set: a blocker idle in one shard may be the waiter whose
-            # edge closes the cycle in another.
-            waiting: Set[int] = set()
-            for shard in service.shards:
-                waiting |= shard.manager.waiting_apps()
-            graphs = []
-            owner: Dict[int, int] = {}
-            for idx, shard in enumerate(service.shards):
-                graph = build_wait_for_graph(shard.manager, waiting)
-                for app_id in graph:
-                    owner[app_id] = idx
-                graphs.append(graph)
-            merged = merge_wait_graphs(graphs)
-            victims = 0
-            for cycle in find_cycles_in_graph(merged):
-                self.stats.cycles_found += 1
-                victim = min(
-                    cycle, key=lambda app: (service.ledger.app_slots(app), app)
-                )
-                shard = service.shards[owner[victim]]
-                # Snapshot the contended resource before cancel_wait
-                # removes the victim from the wait map.
-                waiting_entry = shard.manager._waiting_on.get(victim)
-                resource = (
-                    waiting_entry[0].resource
-                    if waiting_entry is not None
-                    else ""
-                )
-                cancelled = shard.manager.cancel_wait(
-                    victim,
-                    DeadlockError(
-                        f"cross-shard deadlock: app {victim} chosen as "
-                        f"victim of cycle {cycle}"
-                    ),
-                )
-                if cancelled:
-                    self.stats.victims.append(victim)
-                    shard.manager.stats.deadlocks += 1
-                    victims += 1
-                    if self.incidents is not None:
-                        self.incidents[owner[victim]].record_deadlock(
-                            shard.manager,
-                            victim,
-                            resource,
-                            list(cycle),
-                            f"cross-shard sweep: victim by smallest global "
-                            f"footprint among cycle {sorted(cycle)}",
-                        )
-            return victims
+        with self.snapshot_lock or nullcontext():
+            return self._sweep(waiting)
+
+    def _sweep(self, waiting: Set[int]) -> int:
+        snapshots = [shard.graph(waiting) for shard in self.shards]
+        cycles = find_cycles_in_graph(
+            merge_wait_graphs(graph for graph, _ in snapshots)
+        )
+        if self.snapshot_lock is None:
+            seen = {frozenset(cycle) for cycle in cycles}
+            cycles = [c for c in cycles if frozenset(c) in self._pending]
+            self._pending = seen - {frozenset(cycle) for cycle in cycles}
+        victims = 0
+        for cycle in cycles:
+            self.stats.cycles_found += 1
+            footprint = {
+                app: sum(slots.get(app, 0) for _, slots in snapshots)
+                for app in cycle
+            }
+            victim = min(cycle, key=lambda app: (footprint[app], app))
+            owner = next(
+                idx for idx, (graph, _) in enumerate(snapshots) if victim in graph
+            )
+            cancelled, resource = self.shards[owner].victimize(
+                victim,
+                f"cross-shard deadlock: app {victim} chosen as victim of "
+                f"cycle {sorted(cycle)}",
+            )
+            if cancelled:
+                self.stats.victims.append(victim)
+                victims += 1
+                if self.on_victim is not None:
+                    self.on_victim(owner, victim, resource, list(cycle))
+        return victims
 
 
-class ShardedServiceStack:
+class ShardedServiceStack(StackSurface):
     """A fully wired sharded service: shards below, one STMM loop above.
 
     Mirrors :class:`~repro.service.stack.ServiceStack` wiring exactly
@@ -631,14 +648,9 @@ class ShardedServiceStack:
         )
         self.registry = build_memory_registry(cfg)
 
-        locklist_blocks = (
-            round_pages_to_blocks(cfg.initial_locklist_pages) // PAGES_PER_BLOCK
-        )
-        # Round-robin initial split: early shards take the remainder.
-        base, extra = divmod(locklist_blocks, cfg.shards)
         chains = [
-            LockBlockChain(initial_blocks=base + (1 if i < extra else 0))
-            for i in range(cfg.shards)
+            LockBlockChain(initial_blocks=blocks)
+            for blocks in initial_block_split(cfg, cfg.shards)
         ]
         self.service = ShardedLockService(
             chains,
@@ -650,18 +662,10 @@ class ShardedServiceStack:
         self.ledger = self.service.ledger
         self.chain = self.service.chain
 
-        self.controller = LockMemoryController(
-            registry=self.registry,
-            chain=self.chain,
-            params=cfg.params,
+        self._wire_tuning(
+            self.service,
             num_applications=self.service.session_count,
-            escalation_count=self.ledger.total_escalations,
-            clock=self.clock.now,
-        )
-        self.maxlocks = AdaptiveMaxlocks(
-            params=cfg.params,
-            allocated_pages=lambda: self.chain.allocated_pages,
-            max_lock_memory_pages=self.controller.max_lock_memory_pages,
+            escalation_count=self.service.total_escalations,
         )
         # Synchronous borrows from any shard funnel through one lock:
         # the registry is not thread-safe, and the ledger must see the
@@ -676,22 +680,10 @@ class ShardedServiceStack:
         self.controller.on_resize = self.service.refresh_all_maxlocks
         self.service.borrow_return = self.controller.reclaim_transient_blocks
 
-        stmm_cfg = cfg.stmm
-        if cfg.broker and stmm_cfg.pmc_rebalance_fraction:
-            # Mirror ServiceStack: PMC movement is the broker's job.
-            stmm_cfg = dataclasses.replace(stmm_cfg, pmc_rebalance_fraction=0.0)
-        self.stmm = Stmm(self.registry, stmm_cfg)
-        self.stmm.register_deterministic_tuner(self.controller)
-        self.tuner = TunerDaemon(
-            self.service,
-            self.stmm,
-            interval_override_s=cfg.tuner_interval_s,
-            metrics=self.metrics,
-            controller=self.controller,
-            audit_capacity=cfg.audit_capacity,
-        )
         self.detector = ShardedDeadlockDetector(
-            self.service, interval_s=cfg.deadlock_interval_s
+            self.service.shards,
+            interval_s=cfg.deadlock_interval_s,
+            snapshot_lock=self.service._cond,
         )
         self.admission = AdmissionController(
             cfg.max_in_flight,
@@ -705,7 +697,7 @@ class ShardedServiceStack:
                 self.registry,
                 self.admission,
                 used_pages=self.controller.used_pages,
-                escalations=self.ledger.total_escalations,
+                escalations=self.service.total_escalations,
                 metrics=self.metrics,
             )
             self.tuner.broker = self.broker
@@ -727,7 +719,7 @@ class ShardedServiceStack:
         ]
         for idx, shard in enumerate(self.service.shards):
             shard.manager.incidents = recorders[idx]
-        self.detector.incidents = recorders
+        self.detector.on_victim = self._record_sweep_victim
         self.tuner.incidents = recorders[0]
         #: One wait profiler per shard (``{"shard": N}``-labeled series
         #: for lock waits and latch stats) plus an unlabeled profiler
@@ -762,7 +754,6 @@ class ShardedServiceStack:
                 incidents=self.ops_incidents,
                 port=cfg.ops_port,
             )
-        self._started = False
 
     def _make_growth_provider(self, shard_idx: int):
         def grow(blocks_wanted: int) -> int:
@@ -774,33 +765,24 @@ class ShardedServiceStack:
 
         return grow
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "ShardedServiceStack":
-        if self._started:
-            raise ConfigurationError("service stack already started")
-        self._started = True
-        self.tuner.start()
-        self.detector.start()
-        if self.ops is not None:
-            self.ops.start()
-        return self
-
-    def stop(self) -> None:
-        if self.ops is not None:
-            self.ops.stop()
-        self.tuner.stop()
-        self.detector.stop()
-        self.admission.close()
-        self.service.close()
-
-    def __enter__(self) -> "ShardedServiceStack":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+    def _record_sweep_victim(
+        self, idx: int, victim: int, resource: str, cycle: List[int]
+    ) -> None:
+        manager = self.service.shards[idx].manager
+        manager.incidents.record_deadlock(
+            manager,
+            victim,
+            resource,
+            cycle,
+            f"cross-shard sweep: victim by smallest global "
+            f"footprint among cycle {sorted(cycle)}",
+        )
 
     # -- reporting ---------------------------------------------------------
+
+    @property
+    def frozen_reason(self) -> Optional[str]:
+        return self.service.frozen_reason
 
     @property
     def manager_stats(self) -> LockManagerStats:
@@ -841,38 +823,13 @@ class ShardedServiceStack:
             reg.gauge("shard.waiters", labels=labels).set(
                 float(len(shard.manager.waiting_apps()))
             )
-        reg.gauge("service.locklist_pages").set(
-            float(self.chain.allocated_pages)
+        publish_stack_gauges(
+            self,
+            maxlocks_fraction=self.maxlocks.fraction(),
+            sessions=self.service.session_count(),
+            escalations=self.service.total_escalations(),
+            admission=self.admission,
         )
-        reg.gauge("service.locklist_used_slots").set(
-            float(self.chain.used_slots)
-        )
-        reg.gauge("service.locklist_free_fraction").set(
-            self.chain.free_fraction()
-        )
-        reg.gauge("service.maxlocks_fraction").set(self.maxlocks.fraction())
-        reg.gauge("service.sessions").set(float(self.service.session_count()))
-        reg.gauge("service.escalations").set(
-            float(self.ledger.total_escalations())
-        )
-        reg.gauge("service.admission.in_flight").set(
-            float(self.admission.in_flight())
-        )
-        reg.gauge("service.admission.queue_depth").set(
-            float(self.admission.queue_depth())
-        )
-        if self.broker is not None:
-            self.broker.publish_metrics()
-        for prof in self.wait_profilers:
-            latch = prof.latch
-            labels = prof.labels
-            reg.gauge("latch.gets", labels=labels).set(float(latch.gets))
-            reg.gauge("latch.misses", labels=labels).set(float(latch.misses))
-            reg.gauge("latch.spins", labels=labels).set(float(latch.spins))
-            reg.gauge("latch.sleeps", labels=labels).set(float(latch.sleeps))
-            reg.gauge("latch.sleep_seconds", labels=labels).set(
-                latch.sleep_time_s
-            )
 
     def ops_health(self) -> dict:
         """The ``/healthz`` body; ``ok`` decides 200 vs 503."""
@@ -888,56 +845,19 @@ class ShardedServiceStack:
                 {"shard": idx, "open": not shard.closed}
                 for idx, shard in enumerate(service.shards)
             ],
-            "detector": {
-                "alive": self.detector._thread is not None
-                and self.detector._thread.is_alive(),
-                "crash": (
-                    None
-                    if self.detector.crash is None
-                    else str(self.detector.crash)
-                ),
-            },
-            "tuner": {
-                "alive": tuner.alive,
-                "frozen": tuner.frozen,
-                "intervals": tuner.intervals_run,
-                "crash": None if tuner.crash is None else str(tuner.crash),
-                "frozen_reason": service.frozen_reason,
-            },
+            "detector": self.detector.status(),
+            "tuner": {**tuner.status(), "frozen_reason": self.frozen_reason},
         }
 
     def ops_stmm(self) -> dict:
         """The ``/stmm`` body: audit trail + current memory posture."""
-        spans: List[dict] = []
+        payload = stmm_payload(self, self.maxlocks.fraction())
+        payload["spans"] = []
         for shard in self.service.shards:
             sampler = shard.span_sampler
             if sampler is not None:
-                spans.extend(sampler.finished_dicts(limit=16))
-        return {
-            "audit": self.tuner.audit.to_dicts(),
-            "audit_total": self.tuner.audit.total_recorded,
-            "intervals": self.tuner.intervals_run,
-            "locklist_pages": self.chain.allocated_pages,
-            "locklist_free_fraction": self.chain.free_fraction(),
-            "maxlocks_fraction": self.maxlocks.fraction(),
-            "overflow_pages": self.registry.overflow_pages,
-            "frozen_reason": self.service.frozen_reason,
-            "params": controller_params(self.config, self.tuner),
-            "incident_total": self.incidents.total_recorded,
-            "wait_classes": wait_class_payload(self.wait_profilers),
-            "spans": spans,
-            "broker": (
-                None if self.broker is None else self.broker.status()
-            ),
-        }
-
-    def ops_incidents(self) -> dict:
-        """The ``/incidents`` body: the forensics ring, oldest first."""
-        return {
-            "total": self.incidents.total_recorded,
-            "counts": self.incidents.kind_counts(),
-            "incidents": self.incidents.to_dicts(),
-        }
+                payload["spans"].extend(sampler.finished_dicts(limit=16))
+        return payload
 
     # -- consistency -------------------------------------------------------
 
@@ -952,13 +872,3 @@ class ShardedServiceStack:
         with self.service._cond:
             self.controller.check_consistency()
             self.registry.overflow_pages
-
-    def thread_count(self) -> int:
-        """Live stack-owned threads (tuner + deadlock sweep)."""
-        owned = {
-            getattr(self.tuner, "_thread", None),
-            getattr(self.detector, "_thread", None),
-        }
-        return sum(
-            1 for t in threading.enumerate() if t in owned and t.is_alive()
-        )

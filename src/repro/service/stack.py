@@ -17,9 +17,8 @@ memory algorithm of the paper interacts with.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.controller import LockMemoryController
 from repro.core.maxlocks import AdaptiveMaxlocks
@@ -175,6 +174,29 @@ class ServiceConfig:
             )
 
 
+def initial_block_split(cfg: ServiceConfig, parts: int) -> List[int]:
+    """The initial LOCKLIST in whole blocks, split round-robin over
+    ``parts`` lock tables (early tables take the remainder)."""
+    blocks = round_pages_to_blocks(cfg.initial_locklist_pages) // PAGES_PER_BLOCK
+    base, extra = divmod(blocks, parts)
+    return [base + (1 if idx < extra else 0) for idx in range(parts)]
+
+
+def check_scale_out(cfg, parts: int, what: str) -> None:
+    """Validation shared by the sharded and the worker-pool configs."""
+    if cfg.deadlock_interval_s <= 0:
+        raise ConfigurationError(
+            f"deadlock_interval_s must be positive, "
+            f"got {cfg.deadlock_interval_s}"
+        )
+    split = initial_block_split(cfg, parts)
+    if split[-1] == 0:
+        raise ConfigurationError(
+            f"initial locklist of {sum(split)} blocks cannot seed "
+            f"{parts} {what} with one block each"
+        )
+
+
 def build_memory_registry(cfg: ServiceConfig) -> DatabaseMemoryRegistry:
     """The service memory model: bufferpool (PMC donor) + locklist + overflow.
 
@@ -295,7 +317,177 @@ def wait_class_payload(profilers) -> Optional[dict]:
     }
 
 
-class ServiceStack:
+def stmm_payload(stack, maxlocks_fraction: float) -> dict:
+    """The ``/stmm`` body every stack serves: audit trail + posture.
+
+    Stacks add their topology's extras (span samples, per-worker
+    blocks) to the returned dict.
+    """
+    tuner = stack.tuner
+    return {
+        "audit": tuner.audit.to_dicts(),
+        "audit_total": tuner.audit.total_recorded,
+        "intervals": tuner.intervals_run,
+        "locklist_pages": stack.chain.allocated_pages,
+        "locklist_free_fraction": stack.chain.free_fraction(),
+        "maxlocks_fraction": maxlocks_fraction,
+        "overflow_pages": stack.registry.overflow_pages,
+        "frozen_reason": stack.frozen_reason,
+        "params": controller_params(stack.config, tuner),
+        "incident_total": stack.incidents.total_recorded,
+        "wait_classes": wait_class_payload(stack.wait_profilers),
+        "broker": None if stack.broker is None else stack.broker.status(),
+    }
+
+
+def publish_stack_gauges(
+    stack,
+    *,
+    maxlocks_fraction: float,
+    sessions: int,
+    escalations: int,
+    admission: Optional[AdmissionController] = None,
+) -> None:
+    """The stack-level point-in-time gauges every stack publishes.
+
+    LOCKLIST posture, sessions and escalations, the admission gate
+    (when the stack has one), the broker's gauges and one labeled set
+    of latch gauges per wait profiler.
+    """
+    reg = stack.metrics
+    chain = stack.chain
+    reg.gauge("service.locklist_pages").set(float(chain.allocated_pages))
+    reg.gauge("service.locklist_used_slots").set(float(chain.used_slots))
+    reg.gauge("service.locklist_free_fraction").set(chain.free_fraction())
+    reg.gauge("service.maxlocks_fraction").set(maxlocks_fraction)
+    reg.gauge("service.sessions").set(float(sessions))
+    reg.gauge("service.escalations").set(float(escalations))
+    if admission is not None:
+        reg.gauge("service.admission.in_flight").set(
+            float(admission.in_flight())
+        )
+        reg.gauge("service.admission.queue_depth").set(
+            float(admission.queue_depth())
+        )
+    if stack.broker is not None:
+        stack.broker.publish_metrics()
+    for prof in stack.wait_profilers:
+        latch = prof.latch
+        labels = prof.labels
+        reg.gauge("latch.gets", labels=labels).set(float(latch.gets))
+        reg.gauge("latch.misses", labels=labels).set(float(latch.misses))
+        reg.gauge("latch.spins", labels=labels).set(float(latch.spins))
+        reg.gauge("latch.sleeps", labels=labels).set(float(latch.sleeps))
+        reg.gauge("latch.sleep_seconds", labels=labels).set(
+            latch.sleep_time_s
+        )
+
+
+class StackSurface:
+    """What every stack shape declares, and the wiring they share.
+
+    The single-manager stack, the sharded stack and the worker pool all
+    carry the same reporting surface, so callers read it plainly
+    instead of probing: ``ops``, ``broker`` and ``detector`` (the
+    cross-shard deadlock sweep) are ``None`` where a topology lacks
+    them, ``wait_profilers`` and ``request_tracers`` are empty.  Every
+    stack also sets ``incidents``, ``frozen_reason``, ``tuner`` and the
+    tuning objects :meth:`_wire_tuning` builds.
+    """
+
+    ops: Optional[OpsServer] = None
+    broker: Optional[MemoryBroker] = None
+    detector = None
+    wait_profilers: Sequence[WaitEventProfiler] = ()
+    request_tracers: Sequence = ()
+    _started = False
+
+    def _wire_tuning(
+        self,
+        service,
+        *,
+        num_applications: Callable[[], int],
+        escalation_count: Callable[[], int],
+        **tuner_kwargs,
+    ) -> None:
+        """The paper's controller, adaptive MAXLOCKS, STMM and tuner.
+
+        Tunes ``self.chain`` against ``self.registry``, wired exactly
+        as AdaptiveLockMemoryPolicy.attach does for the simulation; the
+        :class:`TunerDaemon` serializes its passes on ``service``.
+        """
+        cfg = self.config
+        self.controller = LockMemoryController(
+            registry=self.registry,
+            chain=self.chain,
+            params=cfg.params,
+            num_applications=num_applications,
+            escalation_count=escalation_count,
+            clock=self.clock.now,
+        )
+        self.maxlocks = AdaptiveMaxlocks(
+            params=cfg.params,
+            allocated_pages=lambda: self.chain.allocated_pages,
+            max_lock_memory_pages=self.controller.max_lock_memory_pages,
+        )
+        stmm_cfg = cfg.stmm
+        if cfg.broker and stmm_cfg.pmc_rebalance_fraction:
+            # All PMC movement goes through the broker's audited
+            # trading pass; STMM's unaudited 2% rebalance would fight
+            # it (and leave page moves with no trade-benefit record).
+            stmm_cfg = replace(stmm_cfg, pmc_rebalance_fraction=0.0)
+        self.stmm = Stmm(self.registry, stmm_cfg)
+        self.stmm.register_deterministic_tuner(self.controller)
+        self.tuner = TunerDaemon(
+            service,
+            self.stmm,
+            interval_override_s=cfg.tuner_interval_s,
+            metrics=self.metrics,
+            controller=self.controller,
+            audit_capacity=cfg.audit_capacity,
+            **tuner_kwargs,
+        )
+
+    def start(self):
+        """Launch the tuner, then the deadlock sweep and the ops plane
+        when the stack has them (the worker pool overrides this)."""
+        if self._started:
+            raise ConfigurationError("service stack already started")
+        self._started = True
+        self.tuner.start()
+        if self.detector is not None:
+            self.detector.start()
+        if self.ops is not None:
+            self.ops.start()
+        return self
+
+    def stop(self) -> None:
+        """Stop tuning and sweeping, close the doors, cancel pending
+        waits (the worker pool overrides this)."""
+        if self.ops is not None:
+            self.ops.stop()
+        self.tuner.stop()
+        if self.detector is not None:
+            self.detector.stop()
+        self.admission.close()
+        self.service.close()
+
+    def ops_incidents(self) -> dict:
+        """The ``/incidents`` body: the forensics ring, oldest first."""
+        return {
+            "total": self.incidents.total_recorded,
+            "counts": self.incidents.kind_counts(),
+            "incidents": self.incidents.to_dicts(),
+        }
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.stop()
+
+
+class ServiceStack(StackSurface):
     """A fully wired live lock service (see module docstring)."""
 
     def __init__(
@@ -325,20 +517,10 @@ class ServiceStack:
             metrics=self.metrics,
         )
 
-        # The paper's controller + adaptive MAXLOCKS, wired exactly as
-        # AdaptiveLockMemoryPolicy.attach does for the simulation.
-        self.controller = LockMemoryController(
-            registry=self.registry,
-            chain=self.chain,
-            params=cfg.params,
+        self._wire_tuning(
+            self.service,
             num_applications=self.service.session_count,
             escalation_count=lambda: self.service.manager.stats.escalations.count,
-            clock=self.clock.now,
-        )
-        self.maxlocks = AdaptiveMaxlocks(
-            params=cfg.params,
-            allocated_pages=lambda: self.chain.allocated_pages,
-            max_lock_memory_pages=self.controller.max_lock_memory_pages,
         )
         manager = self.service.manager
         manager.growth_provider = self.controller.sync_grow
@@ -347,23 +529,6 @@ class ServiceStack:
         manager.refresh_maxlocks()
         self.controller.on_resize = manager.refresh_maxlocks
         self.service.borrow_return = self.controller.reclaim_transient_blocks
-
-        stmm_cfg = cfg.stmm
-        if cfg.broker and stmm_cfg.pmc_rebalance_fraction:
-            # All PMC movement goes through the broker's audited
-            # trading pass; STMM's unaudited 2% rebalance would fight
-            # it (and leave page moves with no trade-benefit record).
-            stmm_cfg = replace(stmm_cfg, pmc_rebalance_fraction=0.0)
-        self.stmm = Stmm(self.registry, stmm_cfg)
-        self.stmm.register_deterministic_tuner(self.controller)
-        self.tuner = TunerDaemon(
-            self.service,
-            self.stmm,
-            interval_override_s=cfg.tuner_interval_s,
-            metrics=self.metrics,
-            controller=self.controller,
-            audit_capacity=cfg.audit_capacity,
-        )
         self.admission = AdmissionController(
             cfg.max_in_flight,
             cfg.admission_queue_depth,
@@ -420,35 +585,12 @@ class ServiceStack:
                 incidents=self.ops_incidents,
                 port=cfg.ops_port,
             )
-        self._started = False
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "ServiceStack":
-        """Launch the tuning daemon (and the ops plane, when configured)."""
-        if self._started:
-            raise ConfigurationError("service stack already started")
-        self._started = True
-        self.tuner.start()
-        if self.ops is not None:
-            self.ops.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop tuning, close the doors, cancel pending waits."""
-        if self.ops is not None:
-            self.ops.stop()
-        self.tuner.stop()
-        self.admission.close()
-        self.service.close()
-
-    def __enter__(self) -> "ServiceStack":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
     # -- reporting ---------------------------------------------------------
+
+    @property
+    def frozen_reason(self) -> Optional[str]:
+        return self.service.frozen_reason
 
     @property
     def manager_stats(self):
@@ -467,40 +609,14 @@ class ServiceStack:
         """
         if self.metrics is None:
             return
-        reg = self.metrics
-        stats = self.service.manager.stats
-        reg.gauge("service.locklist_pages").set(
-            float(self.chain.allocated_pages)
+        manager = self.service.manager
+        publish_stack_gauges(
+            self,
+            maxlocks_fraction=manager.maxlocks_fraction,
+            sessions=self.service.session_count(),
+            escalations=manager.stats.escalations.count,
+            admission=self.admission,
         )
-        reg.gauge("service.locklist_used_slots").set(
-            float(self.chain.used_slots)
-        )
-        reg.gauge("service.locklist_free_fraction").set(
-            self.chain.free_fraction()
-        )
-        reg.gauge("service.maxlocks_fraction").set(
-            self.service.manager.maxlocks_fraction
-        )
-        reg.gauge("service.sessions").set(float(self.service.session_count()))
-        reg.gauge("service.escalations").set(float(stats.escalations.count))
-        reg.gauge("service.admission.in_flight").set(
-            float(self.admission.in_flight())
-        )
-        reg.gauge("service.admission.queue_depth").set(
-            float(self.admission.queue_depth())
-        )
-        if self.broker is not None:
-            self.broker.publish_metrics()
-        for prof in self.wait_profilers:
-            latch = prof.latch
-            labels = prof.labels
-            reg.gauge("latch.gets", labels=labels).set(float(latch.gets))
-            reg.gauge("latch.misses", labels=labels).set(float(latch.misses))
-            reg.gauge("latch.spins", labels=labels).set(float(latch.spins))
-            reg.gauge("latch.sleeps", labels=labels).set(float(latch.sleeps))
-            reg.gauge("latch.sleep_seconds", labels=labels).set(
-                latch.sleep_time_s
-            )
 
     def ops_health(self) -> dict:
         """The ``/healthz`` body; ``ok`` decides 200 vs 503."""
@@ -511,45 +627,17 @@ class ServiceStack:
             "shards": 1,
             "closed": self.service.closed,
             "sessions": self.service.session_count(),
-            "tuner": {
-                "alive": tuner.alive,
-                "frozen": tuner.frozen,
-                "intervals": tuner.intervals_run,
-                "crash": None if tuner.crash is None else str(tuner.crash),
-                "frozen_reason": self.service.frozen_reason,
-            },
+            "tuner": {**tuner.status(), "frozen_reason": self.frozen_reason},
         }
 
     def ops_stmm(self) -> dict:
         """The ``/stmm`` body: audit trail + current memory posture."""
+        payload = stmm_payload(self, self.service.manager.maxlocks_fraction)
         sampler = self.service.span_sampler
-        return {
-            "audit": self.tuner.audit.to_dicts(),
-            "audit_total": self.tuner.audit.total_recorded,
-            "intervals": self.tuner.intervals_run,
-            "locklist_pages": self.chain.allocated_pages,
-            "locklist_free_fraction": self.chain.free_fraction(),
-            "maxlocks_fraction": self.service.manager.maxlocks_fraction,
-            "overflow_pages": self.registry.overflow_pages,
-            "frozen_reason": self.service.frozen_reason,
-            "params": controller_params(self.config, self.tuner),
-            "incident_total": self.incidents.total_recorded,
-            "wait_classes": wait_class_payload(self.wait_profilers),
-            "spans": (
-                [] if sampler is None else sampler.finished_dicts(limit=64)
-            ),
-            "broker": (
-                None if self.broker is None else self.broker.status()
-            ),
-        }
-
-    def ops_incidents(self) -> dict:
-        """The ``/incidents`` body: the forensics ring, oldest first."""
-        return {
-            "total": self.incidents.total_recorded,
-            "counts": self.incidents.kind_counts(),
-            "incidents": self.incidents.to_dicts(),
-        }
+        payload["spans"] = (
+            [] if sampler is None else sampler.finished_dicts(limit=64)
+        )
+        return payload
 
     # -- consistency -------------------------------------------------------
 
@@ -565,11 +653,3 @@ class ServiceStack:
         self.controller.check_consistency()
         # Registry-wide: overflow_pages raises if heaps oversubscribe.
         self.registry.overflow_pages
-
-    def thread_count(self) -> int:
-        """Live service-owned threads (the tuner; drivers are callers')."""
-        return sum(
-            1
-            for t in threading.enumerate()
-            if t is getattr(self.tuner, "_thread", None) and t.is_alive()
-        )

@@ -21,38 +21,39 @@ from repro.obs.events import RunTelemetry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.sharded import ShardedServiceStack
     from repro.service.stack import ServiceStack
+    from repro.service.workers import WorkerPoolStack
 
-    AnyStack = Union[ServiceStack, ShardedServiceStack]
+    AnyStack = Union[ServiceStack, ShardedServiceStack, WorkerPoolStack]
 
 
 def service_telemetry(stack: "AnyStack", label: str = "service") -> RunTelemetry:
     """One telemetry object for a finished (or quiesced) service run.
 
-    Works for both the unsharded and the sharded stack: both expose
-    ``metrics`` (the shared registry), ``controller.decisions`` and
-    ``tuner.audit``.  When the stack ran without telemetry the stream
-    still carries the decisions and audit trail over an empty registry.
+    Works for every stack shape: all expose ``metrics`` (the shared
+    registry), ``controller.decisions``, ``tuner.audit`` and the common
+    reporting surface (``wait_profilers``, ``request_tracers``,
+    ``incidents``, ``broker``).  When the stack ran without telemetry
+    the stream still carries the decisions and audit trail over an
+    empty registry.
     """
-    if getattr(stack, "publish_ops_metrics", None) is not None:
-        # Final state of the point-in-time gauges (occupancy, sessions).
-        stack.publish_ops_metrics()
+    # Final state of the point-in-time gauges (occupancy, sessions).
+    stack.publish_ops_metrics()
     waits = []
-    for profiler in getattr(stack, "wait_profilers", []) or []:
+    for profiler in stack.wait_profilers:
         waits.extend(profiler.to_dicts())
     waits.sort(key=lambda w: w["t"])
     traces = []
-    for tracer in getattr(stack, "request_tracers", []) or []:
+    for tracer in stack.request_tracers:
         traces.extend(tracer.to_dicts())
     traces.sort(key=lambda tr: tr["t"])
-    incident_log = getattr(stack, "incidents", None)
-    broker = getattr(stack, "broker", None)
+    broker = stack.broker
     telemetry = RunTelemetry(
         label=label,
         decisions=list(stack.controller.decisions),
         registry=stack.metrics,
         audit=stack.tuner.audit.records(),
         waits=waits,
-        incidents=[] if incident_log is None else incident_log.records(),
+        incidents=stack.incidents.records(),
         broker=[] if broker is None else broker.audit.records(),
         traces=traces,
     )

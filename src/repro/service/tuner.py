@@ -27,7 +27,7 @@ background thread:
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.memory.stmm import IntervalReport, Stmm
 from repro.obs.audit import TuningAuditLog, TuningAuditRecord, audit_reason_for
@@ -62,6 +62,15 @@ class TunerDaemon:
         ``freeze`` entries.
     audit_capacity:
         Ring-buffer bound of :attr:`audit`.
+    idle:
+        The wait between passes: ``idle(timeout_s)`` returns True once
+        the daemon is asked to stop (default: the stop event's
+        ``wait``).  The worker pool's idle keeps serving synchronous
+        borrows while it waits.  The interval is timed from the end of
+        the previous pass.
+    prepare:
+        Called right before each daemon pass (the worker pool samples
+        worker occupancy here so the controller tunes fresh numbers).
     """
 
     def __init__(
@@ -74,6 +83,8 @@ class TunerDaemon:
         metrics: Optional["MetricRegistry"] = None,
         controller: Optional["LockMemoryController"] = None,
         audit_capacity: int = 256,
+        idle: Optional[Callable[[float], bool]] = None,
+        prepare: Optional[Callable[[], None]] = None,
     ) -> None:
         if interval_override_s is not None and interval_override_s <= 0:
             raise ValueError(
@@ -99,6 +110,8 @@ class TunerDaemon:
         self.intervals_run = 0
         self.crash: Optional[BaseException] = None
         self._stop = threading.Event()
+        self._idle = idle or self._stop.wait
+        self._prepare = prepare
         self._thread = threading.Thread(
             target=self._run, name="stmm-tuner", daemon=True
         )
@@ -133,6 +146,15 @@ class TunerDaemon:
         """True once a crash has degraded the service to static sizing."""
         return self.crash is not None
 
+    def status(self) -> dict:
+        """The ``/healthz`` ``tuner`` block."""
+        return {
+            "alive": self.alive,
+            "frozen": self.frozen,
+            "intervals": self.intervals_run,
+            "crash": None if self.crash is None else str(self.crash),
+        }
+
     # -- the daemon loop ---------------------------------------------------
 
     def _interval_s(self) -> float:
@@ -142,7 +164,9 @@ class TunerDaemon:
 
     def _run(self) -> None:
         try:
-            while not self._stop.wait(self._interval_s()):
+            while not self._idle(self._interval_s()):
+                if self._prepare is not None:
+                    self._prepare()
                 self._tune_once()
                 if (
                     self.max_intervals is not None
@@ -150,13 +174,7 @@ class TunerDaemon:
                 ):
                     return
         except BaseException as exc:  # noqa: BLE001 - degrade, never corrupt
-            self.crash = exc
-            if self._metrics is not None:
-                self._m_crashes.inc()
-            self._record_freeze(exc)
-            self.service.freeze_tuning(
-                f"tuner thread died: {type(exc).__name__}: {exc}"
-            )
+            self._degrade(exc, "tuner thread died")
 
     def tune_now(self) -> IntervalReport:
         """Run one tuning pass synchronously (tests, manual demos).
@@ -168,14 +186,16 @@ class TunerDaemon:
         try:
             return self._tune_once()
         except BaseException as exc:  # noqa: BLE001
-            self.crash = exc
-            if self._metrics is not None:
-                self._m_crashes.inc()
-            self._record_freeze(exc)
-            self.service.freeze_tuning(
-                f"tuner pass failed: {type(exc).__name__}: {exc}"
-            )
+            self._degrade(exc, "tuner pass failed")
             raise
+
+    def _degrade(self, exc: BaseException, what: str) -> None:
+        """Record the crash and freeze the service to static sizing."""
+        self.crash = exc
+        if self._metrics is not None:
+            self._m_crashes.inc()
+        self._record_freeze(exc)
+        self.service.freeze_tuning(f"{what}: {type(exc).__name__}: {exc}")
 
     def _tune_once(self) -> IntervalReport:
         service = self.service

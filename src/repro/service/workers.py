@@ -31,6 +31,14 @@ borrow pipes while it waits** -- for control replies, for lock
 acquisition, for the next tuning interval.  No parent-side lock is ever
 held across a cross-process wait.
 
+The pool adds no tuning machinery of its own: the arbiter thread is a
+:class:`TunerDaemon` whose ``idle`` wait serves the borrow pipes; the
+memory ledger and aggregate chain are the sharded stack's
+(:mod:`repro.service.ledger`) over one :class:`WorkerChain` view per
+worker; and the cross-worker deadlock sweep is the
+:class:`~repro.service.sharded.ShardedDeadlockDetector` with its
+two-sweep phantom confirmation (per-worker snapshots are not atomic).
+
 Failure semantics mirror the single-process stack exactly: a worker
 crash degrades like a tuner crash today -- surviving workers freeze to
 a static LOCKLIST (growth providers detached, MAXLOCKS pinned), an
@@ -53,23 +61,14 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import Connection, wait as conn_wait
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.controller import LockMemoryController
-from repro.core.maxlocks import AdaptiveMaxlocks
 from repro.errors import (
     ConfigurationError,
-    DeadlockError,
     MemoryAccountingError,
     ServiceError,
 )
 from repro.lockmgr.blocks import LockBlockChain
-from repro.lockmgr.detector import (
-    build_wait_for_graph,
-    find_cycles_in_graph,
-    merge_wait_graphs,
-)
-from repro.memory.stmm import Stmm
 from repro.net.server import ServiceBackend, ThreadedLockServer
 from repro.obs.incidents import IncidentLog, IncidentRecord
 from repro.obs.registry import (
@@ -85,18 +84,22 @@ from repro.obs.tracing import (
     wire_tax_summary,
 )
 from repro.service.clock import MonotonicClock
+from repro.service.ledger import AggregateLockChain, ShardMemoryLedger
 from repro.service.ops import OpsServer
 from repro.service.service import LockService
+from repro.service.sharded import ShardedDeadlockDetector
 from repro.service.stack import (
     ServiceConfig,
+    StackSurface,
     build_memory_registry,
-    controller_params,
+    check_scale_out,
+    initial_block_split,
+    publish_stack_gauges,
+    stmm_payload,
 )
-from repro.service.tuner import TunerDaemon
 from repro.units import (
     LOCKS_PER_BLOCK,
     PAGES_PER_BLOCK,
-    round_pages_to_blocks,
 )
 
 
@@ -124,20 +127,7 @@ class WorkerPoolConfig(ServiceConfig):
             raise ConfigurationError(
                 f"workers must be positive, got {self.workers}"
             )
-        if self.deadlock_interval_s <= 0:
-            raise ConfigurationError(
-                f"deadlock_interval_s must be positive, "
-                f"got {self.deadlock_interval_s}"
-            )
-        blocks = (
-            round_pages_to_blocks(self.initial_locklist_pages)
-            // PAGES_PER_BLOCK
-        )
-        if blocks < self.workers:
-            raise ConfigurationError(
-                f"initial locklist of {blocks} blocks cannot seed "
-                f"{self.workers} workers with one block each"
-            )
+        check_scale_out(self, self.workers, "workers")
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +265,9 @@ def _worker_main(spec: _WorkerSpec, ctl: Connection, borrow: Connection) -> None
                 with service._mutex:  # noqa: SLF001
                     result = sorted(manager.waiting_apps())
             elif op == "graph":
-                waiting = set(args[0])
-                with service._mutex:  # noqa: SLF001
-                    graph = build_wait_for_graph(manager, waiting)
-                    slots = {app: manager.app_slots(app) for app in waiting}
-                result = (graph, slots)
+                result = service.graph(set(args[0]))
             elif op == "victimize":
-                victim, message = args
-                with service._mutex:  # noqa: SLF001
-                    entry = manager._waiting_on.get(victim)  # noqa: SLF001
-                    resource = (
-                        str(entry[0].resource) if entry is not None else ""
-                    )
-                    cancelled = manager.cancel_wait(
-                        victim, DeadlockError(message)
-                    )
-                    if cancelled:
-                        manager.stats.deadlocks += 1
-                result = (cancelled, resource)
+                result = service.victimize(*args)
             elif op == "stats":
                 result = server.backend.stats_payload()
             elif op == "traces":
@@ -363,22 +338,43 @@ class _WorkerHandle:
     final: Optional[dict] = None
 
 
-class RemoteWorkerChain:
-    """Duck-types :class:`LockBlockChain` over the pool's block mirror.
+class WorkerChain:
+    """One worker's lock chain and wait graph, as the parent sees them.
 
-    Capacity and page counts are *authoritative* (every chain mutation
-    flows through the parent: the initial split, resize distributions,
-    borrow grants), occupancy is *sampled* (refreshed from worker
-    posture snapshots before each tuning pass).  The controller, STMM
-    and adaptive MAXLOCKS read this exactly as they read a local chain.
+    Duck-types :class:`LockBlockChain` for the shared
+    :class:`ShardMemoryLedger` / :class:`AggregateLockChain`, and the
+    shard surface of the :class:`ShardedDeadlockDetector`.  Block counts
+    are *authoritative* (every chain mutation flows through the parent:
+    the initial split, resize distributions, borrow grants), occupancy
+    is *sampled* (refreshed from worker posture snapshots before each
+    tuning pass), and writes are control calls that update the mirror.
+
+    The pool-only rules live here: a dead worker has demand weight 0
+    (and with no live worker left, asking raises
+    :class:`WorkerDiedError`); a grow share a worker cannot take is
+    returned undelivered for the aggregate's one redistribution round;
+    a live worker keeps at least one block; a cleanly closed worker's
+    blocks exist only in the mirror and are released from there; a dead
+    worker has no waiters.
     """
 
-    def __init__(self, pool: "WorkerPoolStack") -> None:
+    def __init__(self, pool: "WorkerPoolStack", idx: int) -> None:
         self._pool = pool
+        self.idx = idx
+
+    @property
+    def _handle(self) -> "_WorkerHandle":
+        return self._pool._handles[self.idx]
+
+    @property
+    def live(self) -> bool:
+        return not self._handle.dead and not self._handle.closed
+
+    # -- chain reads -------------------------------------------------------
 
     @property
     def block_count(self) -> int:
-        return sum(self._pool._blocks)
+        return self._pool._blocks[self.idx]
 
     @property
     def capacity_slots(self) -> int:
@@ -390,7 +386,7 @@ class RemoteWorkerChain:
 
     @property
     def used_slots(self) -> int:
-        return sum(occ["used_slots"] for occ in self._pool._occ)
+        return self._pool._occ[self.idx]["used_slots"]
 
     @property
     def free_slots(self) -> int:
@@ -401,79 +397,84 @@ class RemoteWorkerChain:
         return self.free_slots / capacity if capacity else 1.0
 
     def entirely_free_blocks(self) -> int:
-        return sum(
-            self._pool._entirely_free_blocks(idx)
-            for idx in range(self._pool.config.workers)
-        )
+        if self._handle.dead:
+            return 0  # stranded memory: nothing reclaimable
+        if self._handle.closed:
+            return self.block_count  # clean close verified used_slots == 0
+        occupancy = self._pool._occ[self.idx]
+        return min(occupancy["entirely_free_blocks"], self.block_count)
+
+    def demand_weight(self) -> int:
+        if self.live:
+            return self.used_slots + 1
+        if not self._pool._live_workers():
+            raise WorkerDiedError("no live workers to fund")
+        return 0  # dead or closed: unfundable
+
+    # -- chain writes (control calls; the mirror follows) ------------------
 
     def add_blocks(self, count: int) -> int:
-        return self._pool._distribute_grow(count)
+        try:
+            self._pool._call(self.idx, "add_blocks", count, drain=True)
+        except (WorkerDiedError, ServiceError):
+            return 0  # undelivered: the aggregate redistributes it
+        self._pool._blocks[self.idx] += count
+        return count
 
     def release_blocks(self, count: int, partial: bool = False) -> int:
-        return self._pool._distribute_shrink(count, partial=partial)
+        if self._handle.closed:
+            # The worker exited cleanly with used_slots == 0; its
+            # blocks exist only in the mirror now.
+            freed = min(count, self.block_count)
+        else:
+            # Keep every live worker at one block minimum so its next
+            # request escalates instead of crashing on an empty chain.
+            ask = min(count, self.entirely_free_blocks(), self.block_count - 1)
+            if ask <= 0 or (ask < count and not partial):
+                return 0
+            try:
+                freed = self._pool._call(
+                    self.idx, "release_blocks", ask, drain=True
+                )
+            except (WorkerDiedError, ServiceError):
+                return 0
+        self._pool._blocks[self.idx] -= freed
+        return freed
 
     def check_invariants(self) -> None:
-        self._pool._check_mirror()
+        if not self.live:
+            return
+        reported = self._pool._call(self.idx, "check")
+        if reported != self.block_count:
+            raise MemoryAccountingError(
+                f"worker {self.idx} holds {reported} blocks but the "
+                f"arbiter mirror says {self.block_count}"
+            )
+
+    # -- deadlock-sweep shard surface --------------------------------------
+
+    def waiting_sessions(self) -> Set[int]:
+        return set(self._ask("waiting", default=()))
+
+    def graph(self, waiting: Set[int]) -> Tuple[dict, dict]:
+        return self._ask("graph", sorted(waiting), default=({}, {}))
+
+    def victimize(self, app_id: int, message: str) -> Tuple[bool, str]:
+        return self._ask("victimize", app_id, message, default=(False, ""))
+
+    def _ask(self, op: str, *args: Any, default: Any) -> Any:
+        if not self.live:
+            return default
+        try:
+            return self._pool._call(self.idx, op, *args)
+        except WorkerDiedError:
+            return default  # the watcher owns crash handling
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"RemoteWorkerChain(blocks={list(self._pool._blocks)}, "
+            f"WorkerChain(worker={self.idx}, blocks={self.block_count}, "
             f"used={self.used_slots})"
         )
-
-
-class WorkerMemoryLedger:
-    """Cross-process twin of :class:`ShardMemoryLedger`.
-
-    Same grant-split arithmetic (largest-remainder over used-slots
-    demand weights, ties to the lowest index), same borrow bookkeeping
-    -- but demand is read from the pool's sampled posture snapshots
-    instead of live shard chains.
-    """
-
-    def __init__(self, pool: "WorkerPoolStack") -> None:
-        self._pool = pool
-        self._borrowed = [0] * pool.config.workers
-
-    def record_sync_borrow(self, worker: int, blocks: int) -> None:
-        if blocks <= 0:
-            raise ValueError(f"blocks must be positive, got {blocks}")
-        self._borrowed[worker] += blocks
-
-    def borrowed_blocks(self, worker: int) -> int:
-        return self._borrowed[worker]
-
-    def total_borrowed_blocks(self) -> int:
-        return sum(self._borrowed)
-
-    def demand_weights(self) -> List[int]:
-        """Per-worker grow weights; dead workers are unfundable."""
-        pool = self._pool
-        return [
-            0
-            if pool._handles[idx].dead or pool._handles[idx].closed
-            else pool._occ[idx]["used_slots"] + 1
-            for idx in range(pool.config.workers)
-        ]
-
-    def grant_split(self, blocks: int) -> List[int]:
-        if blocks < 0:
-            raise ValueError(f"blocks must be non-negative, got {blocks}")
-        weights = self.demand_weights()
-        total = sum(weights)
-        if total == 0:
-            raise WorkerDiedError("no live workers to fund")
-        shares = [blocks * weight / total for weight in weights]
-        split = [int(share) for share in shares]
-        remainder = blocks - sum(split)
-        if remainder:
-            by_fraction = sorted(
-                range(len(split)),
-                key=lambda i: (-(shares[i] - split[i]), i),
-            )
-            for i in by_fraction[:remainder]:
-                split[i] += 1
-        return split
 
 
 @dataclass
@@ -495,186 +496,11 @@ class WorkerReconciliation:
 
 
 # ---------------------------------------------------------------------------
-# The arbiter daemon
-# ---------------------------------------------------------------------------
-
-
-class ArbiterDaemon(TunerDaemon):
-    """The pool's tuning thread: STMM passes *plus* borrow service.
-
-    Subclasses :class:`TunerDaemon` (same crash-to-freeze contract,
-    same audit trail) but replaces the sleep between passes with a
-    ``multiprocessing.connection.wait`` over the borrow pipes, so
-    synchronous-growth requests are granted the moment they arrive --
-    including *while a pass is mid-distribution* (see the module
-    docstring's deadlock note).  Worker posture is sampled right before
-    each pass so the controller tunes against fresh occupancy.
-    """
-
-    def __init__(self, pool: "WorkerPoolStack", stmm: Stmm, **kwargs: Any) -> None:
-        super().__init__(pool, stmm, **kwargs)
-        self._pool = pool
-
-    def _run(self) -> None:  # overrides the sleep loop, keeps the contract
-        pool = self._pool
-        try:
-            next_pass = time.monotonic() + self._interval_s()
-            while not self._stop.is_set():
-                pool._service_borrows(
-                    min(0.05, max(0.0, next_pass - time.monotonic()))
-                )
-                pool._apply_pending_freeze()
-                if self._stop.is_set():
-                    return
-                if time.monotonic() < next_pass:
-                    continue
-                pool._sample_occupancy()
-                self._tune_once()
-                if (
-                    self.max_intervals is not None
-                    and self.intervals_run >= self.max_intervals
-                ):
-                    return
-                next_pass = time.monotonic() + self._interval_s()
-        except BaseException as exc:  # noqa: BLE001 - degrade, never corrupt
-            self.crash = exc
-            if self._metrics is not None:
-                self._m_crashes.inc()
-            self._record_freeze(exc)
-            self.service.freeze_tuning(
-                f"tuner thread died: {type(exc).__name__}: {exc}"
-            )
-
-
-class WorkerDeadlockDetector:
-    """Cross-worker deadlock sweep: merged wait-for graphs, global victim.
-
-    The cross-shard sweep generalized across process boundaries: every
-    worker exports its waiting set, each builds its local wait-for graph
-    against the *global* waiting set, the parent merges and finds
-    cycles.  Because the per-worker snapshots are not atomic with each
-    other, a cycle is only victimized when seen in **two consecutive
-    sweeps** -- a real deadlock is permanent until broken, a phantom
-    from skewed snapshots dissolves by itself.
-    """
-
-    def __init__(
-        self, pool: "WorkerPoolStack", *, interval_s: float = 0.25
-    ) -> None:
-        self.pool = pool
-        self.interval_s = interval_s
-        self.checks = 0
-        self.cycles_found = 0
-        self.victims: List[int] = []
-        self.crash: Optional[BaseException] = None
-        self._pending: Set[frozenset] = set()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> None:
-        if self._thread is not None:
-            raise ServiceError("deadlock sweep already started")
-        self._thread = threading.Thread(
-            target=self._run, name="worker-deadlock-sweep", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.check()
-            except WorkerDiedError:
-                continue  # the watcher owns crash handling
-            except Exception as exc:  # degraded: detection stops, service runs
-                self.crash = exc
-                return
-
-    def check(self) -> int:
-        """One sweep; returns the number of victims cancelled."""
-        pool = self.pool
-        self.checks += 1
-        waiting_by_worker: Dict[int, Set[int]] = {}
-        for idx in pool._live_workers():
-            waiting_by_worker[idx] = set(pool._call(idx, "waiting"))
-        waiting: Set[int] = set().union(*waiting_by_worker.values(), set())
-        if not waiting:
-            self._pending.clear()
-            return 0
-        graphs = []
-        slots_by_worker: Dict[int, Dict[int, int]] = {}
-        for idx in waiting_by_worker:
-            graph, slots = pool._call(idx, "graph", sorted(waiting))
-            graphs.append(graph)
-            slots_by_worker[idx] = slots
-        merged = merge_wait_graphs(graphs)
-        cycles = find_cycles_in_graph(merged)
-        confirmed = [c for c in cycles if frozenset(c) in self._pending]
-        self._pending = {frozenset(c) for c in cycles} - {
-            frozenset(c) for c in confirmed
-        }
-        victims = 0
-        for cycle in confirmed:
-            self.cycles_found += 1
-            # Victim by smallest *global* footprint (slots summed over
-            # every worker), ties to the lowest app id -- the sharded
-            # sweep's rule, evaluated across processes.
-            footprint = {
-                app: sum(
-                    slots.get(app, 0) for slots in slots_by_worker.values()
-                )
-                for app in cycle
-            }
-            victim = min(cycle, key=lambda app: (footprint[app], app))
-            owner = next(
-                (
-                    idx
-                    for idx, apps in waiting_by_worker.items()
-                    if victim in apps
-                ),
-                None,
-            )
-            if owner is None:
-                continue  # victim resumed between sweeps: phantom
-            cancelled, resource = pool._call(
-                owner,
-                "victimize",
-                victim,
-                f"cross-worker deadlock: app {victim} chosen as victim "
-                f"of cycle {sorted(cycle)}",
-            )
-            if cancelled:
-                self.victims.append(victim)
-                victims += 1
-                pool.incidents.append(
-                    IncidentRecord(
-                        kind="deadlock",
-                        time=pool.clock.now(),
-                        app_id=victim,
-                        shard=owner,
-                        detail=(
-                            f"cross-worker sweep: victim by smallest global "
-                            f"footprint among cycle {sorted(cycle)} "
-                            f"(resource {resource or 'unknown'})"
-                        ),
-                        cycle=list(cycle),
-                        posture=dict(pool._occ[owner]),
-                        data={"workers": pool.config.workers},
-                    )
-                )
-        return victims
-
-
-# ---------------------------------------------------------------------------
 # The pool stack
 # ---------------------------------------------------------------------------
 
 
-class WorkerPoolStack:
+class WorkerPoolStack(StackSurface):
     """A fully wired multi-process lock service (see module docstring).
 
     Also serves as the *service facade* the :class:`TunerDaemon`
@@ -691,17 +517,10 @@ class WorkerPoolStack:
         )
         self.registry = build_memory_registry(cfg)
 
-        locklist_blocks = (
-            round_pages_to_blocks(cfg.initial_locklist_pages)
-            // PAGES_PER_BLOCK
-        )
-        base, extra = divmod(locklist_blocks, cfg.workers)
         #: Authoritative per-worker block counts: every chain mutation
         #: (initial split, resize distribution, borrow grant, shutdown
         #: reclaim) flows through the parent and lands here first.
-        self._blocks: List[int] = [
-            base + (1 if idx < extra else 0) for idx in range(cfg.workers)
-        ]
+        self._blocks = initial_block_split(cfg, cfg.workers)
         #: Last sampled posture per worker (refreshed before each pass).
         self._occ: List[dict] = [
             {
@@ -722,46 +541,37 @@ class WorkerPoolStack:
             for idx in range(cfg.workers)
         ]
 
-        self.chain = RemoteWorkerChain(self)
-        self.ledger = WorkerMemoryLedger(self)
-        self.controller = LockMemoryController(
-            registry=self.registry,
-            chain=self.chain,
-            params=cfg.params,
-            num_applications=lambda: sum(
-                occ["sessions"] for occ in self._occ
-            ),
-            escalation_count=lambda: sum(
-                occ["escalations"] for occ in self._occ
-            ),
-            clock=self.clock.now,
-        )
-        self.maxlocks = AdaptiveMaxlocks(
-            params=cfg.params,
-            allocated_pages=lambda: self.chain.allocated_pages,
-            max_lock_memory_pages=self.controller.max_lock_memory_pages,
-        )
-        self.controller.on_resize = self._push_maxlocks
-
-        self.stmm = Stmm(self.registry, cfg.stmm)
-        self.stmm.register_deterministic_tuner(self.controller)
+        self.worker_chains = [
+            WorkerChain(self, idx) for idx in range(cfg.workers)
+        ]
+        self.ledger = ShardMemoryLedger(self.worker_chains)
+        self.chain = AggregateLockChain(self.worker_chains, self.ledger)
         #: TunerDaemon facade: passes serialize on this condition (only
         #: the arbiter thread takes it; cross-process safety comes from
         #: the single-mutator arbiter design, not from this lock).
         self._cond = threading.Condition()
         self.frozen_reason: Optional[str] = None
         self._freeze_request: Optional[str] = None
-        self.tuner = ArbiterDaemon(
+        # The tuner thread is the pool's single borrow consumer: its
+        # idle wait keeps granting synchronous borrows (see the module
+        # docstring's deadlock note), and worker posture is sampled
+        # right before each pass.
+        self._wire_tuning(
             self,
-            self.stmm,
-            interval_override_s=cfg.tuner_interval_s,
-            metrics=self.metrics,
-            controller=self.controller,
-            audit_capacity=cfg.audit_capacity,
+            num_applications=lambda: sum(occ["sessions"] for occ in self._occ),
+            escalation_count=lambda: sum(
+                occ["escalations"] for occ in self._occ
+            ),
+            idle=self._idle,
+            prepare=self._sample_occupancy,
         )
-        self.detector = WorkerDeadlockDetector(
-            self, interval_s=cfg.deadlock_interval_s
+        self.controller.on_resize = self._push_maxlocks
+        # Per-worker snapshots are separate round trips, not one atomic
+        # snapshot: no snapshot lock, so cycles need two sweeps.
+        self.detector = ShardedDeadlockDetector(
+            self.worker_chains, interval_s=cfg.deadlock_interval_s
         )
+        self.detector.on_victim = self._record_sweep_victim
         self.incidents = IncidentLog(capacity=cfg.incident_capacity)
         self.reconciliation: Optional[WorkerReconciliation] = None
         self.worker_crashes = 0
@@ -980,103 +790,57 @@ class WorkerPoolStack:
                 conn.send((granted, self.maxlocks.fraction()))
 
     def _sample_occupancy(self) -> None:
-        """Refresh per-worker posture snapshots (arbiter, pre-pass)."""
+        """Refresh per-worker posture snapshots (tuner, pre-pass)."""
         for idx in self._live_workers():
             with contextlib.suppress(WorkerDiedError, ServiceError):
                 self._occ[idx] = self._call(idx, "occupancy", drain=True)
 
-    def _entirely_free_blocks(self, idx: int) -> int:
-        handle = self._handles[idx]
-        if handle.dead:
-            return 0  # stranded memory: nothing reclaimable
-        if handle.closed:
-            return self._blocks[idx]  # clean close verified used_slots == 0
-        return min(self._occ[idx]["entirely_free_blocks"], self._blocks[idx])
+    def _idle(self, timeout_s: float) -> bool:
+        """The tuner's wait between passes (its ``idle`` primitive).
 
-    # -- resize distribution (the STMM arbiter's write path) ---------------
-
-    def _distribute_grow(self, blocks: int) -> int:
-        """Split an STMM grow across workers by demand weights."""
-        if blocks <= 0:
-            return 0
-        split = self.ledger.grant_split(blocks)
-        undelivered = 0
-        for idx, share in enumerate(split):
-            if share <= 0:
-                continue
-            try:
-                self._call(idx, "add_blocks", share, drain=True)
-            except (WorkerDiedError, ServiceError):
-                undelivered += share
-                continue
-            self._blocks[idx] += share
-        if undelivered:
-            # Redistribute a dead worker's share to the survivors (one
-            # round); anything still undeliverable surfaces as a crash
-            # of the pass, which freezes tuning -- the degraded mode a
-            # worker death leads to anyway.
-            retry = self.ledger.grant_split(undelivered)
-            for idx, share in enumerate(retry):
-                if share <= 0:
-                    continue
-                self._call(idx, "add_blocks", share, drain=True)
-                self._blocks[idx] += share
-        return blocks
-
-    def _distribute_shrink(self, blocks: int, *, partial: bool = False) -> int:
-        """Release entirely-free blocks, most-free worker first."""
-        if blocks <= 0:
-            return 0
-        order = sorted(
-            range(self.config.workers),
-            key=lambda i: (-self._entirely_free_blocks(i), -i),
-        )
-        freed_total = 0
-        for idx in order:
-            if freed_total >= blocks:
-                break
-            handle = self._handles[idx]
-            if handle.dead:
-                continue
-            ask = blocks - freed_total
-            if handle.closed:
-                # The worker exited cleanly with used_slots == 0; its
-                # blocks exist only in the mirror now.
-                take = min(ask, self._blocks[idx])
-                self._blocks[idx] -= take
-                freed_total += take
-                continue
-            # Keep every live worker at one block minimum so its next
-            # request escalates instead of crashing on an empty chain.
-            available = min(
-                self._entirely_free_blocks(idx), self._blocks[idx] - 1
+        Serves borrow pipes in slices of at most 50 ms and delivers a
+        freeze requested by another thread, until ``timeout_s`` has
+        passed (False) or the tuner is asked to stop (True).
+        """
+        deadline = time.monotonic() + timeout_s
+        stop = self.tuner._stop  # noqa: SLF001 - the pool drives its tuner
+        while True:
+            self._service_borrows(
+                min(0.05, max(0.0, deadline - time.monotonic()))
             )
-            ask = min(ask, max(0, available))
-            if ask <= 0:
-                continue
-            try:
-                freed = self._call(idx, "release_blocks", ask, drain=True)
-            except (WorkerDiedError, ServiceError):
-                continue
-            self._blocks[idx] -= freed
-            freed_total += freed
-        if freed_total < blocks and not partial:
-            return 0  # all-or-nothing contract of LockBlockChain
-        return freed_total
+            reason = self._freeze_request
+            if reason is not None:
+                self._freeze_request = None
+                self._broadcast("freeze", reason, drain=True)
+            if stop.is_set():
+                return True
+            if time.monotonic() >= deadline:
+                return False
+
+    def _record_sweep_victim(
+        self, idx: int, victim: int, resource: str, cycle: List[int]
+    ) -> None:
+        self.incidents.append(
+            IncidentRecord(
+                kind="deadlock",
+                time=self.clock.now(),
+                app_id=victim,
+                shard=idx,
+                detail=(
+                    f"cross-worker sweep: victim by smallest global "
+                    f"footprint among cycle {sorted(cycle)} "
+                    f"(resource {resource or 'unknown'})"
+                ),
+                cycle=list(cycle),
+                posture=dict(self._occ[idx]),
+                data={"workers": self.config.workers},
+            )
+        )
 
     def _push_maxlocks(self) -> None:
         """``on_resize`` hook: push the fresh fraction to every worker."""
         fraction = self.maxlocks.fraction()
         self._broadcast("set_maxlocks", fraction, drain=True)
-
-    def _check_mirror(self) -> None:
-        for idx in self._live_workers():
-            reported = self._call(idx, "check")
-            if reported != self._blocks[idx]:
-                raise MemoryAccountingError(
-                    f"worker {idx} holds {reported} blocks but the "
-                    f"arbiter mirror says {self._blocks[idx]}"
-                )
 
     # -- degraded modes ----------------------------------------------------
 
@@ -1085,7 +849,7 @@ class WorkerPoolStack:
 
         Safe from the arbiter thread (broadcasts immediately, draining
         borrows into denials); other threads set the reason and leave
-        the broadcast to the arbiter loop via ``_apply_pending_freeze``.
+        the broadcast to the arbiter's idle wait (:meth:`_idle`).
         """
         if self.frozen_reason is not None:
             return
@@ -1094,14 +858,6 @@ class WorkerPoolStack:
             self._broadcast("freeze", reason, drain=True)
         else:
             self._freeze_request = reason
-
-    def _apply_pending_freeze(self) -> None:
-        """Arbiter loop: deliver a freeze requested by another thread."""
-        reason = self._freeze_request
-        if reason is None:
-            return
-        self._freeze_request = None
-        self._broadcast("freeze", reason, drain=True)
 
     def _watch_loop(self) -> None:
         while not self._watch_stop.wait(0.1):
@@ -1231,19 +987,13 @@ class WorkerPoolStack:
         if self._own_socket_dir:
             shutil.rmtree(self.socket_dir, ignore_errors=True)
 
-    def __enter__(self) -> "WorkerPoolStack":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
     # -- invariants --------------------------------------------------------
 
     def check_invariants(self) -> None:
         """Registry, controller and mirror must all agree."""
         self.controller.check_consistency()
-        if not self._stopped:
-            self._check_mirror()
+        if self._started:
+            self.chain.check_invariants()
         if self.registry.overflow_pages < 0:  # pragma: no cover
             raise MemoryAccountingError("negative overflow")
 
@@ -1295,21 +1045,11 @@ class WorkerPoolStack:
             reg.gauge("worker.alive", labels=labels).set(
                 0.0 if self._handles[idx].dead else 1.0
             )
-        reg.gauge("service.locklist_pages").set(
-            float(self.chain.allocated_pages)
-        )
-        reg.gauge("service.locklist_used_slots").set(
-            float(self.chain.used_slots)
-        )
-        reg.gauge("service.locklist_free_fraction").set(
-            self.chain.free_fraction()
-        )
-        reg.gauge("service.maxlocks_fraction").set(self.maxlocks.fraction())
-        reg.gauge("service.sessions").set(
-            float(sum(occ["sessions"] for occ in self._occ))
-        )
-        reg.gauge("service.escalations").set(
-            float(sum(occ["escalations"] for occ in self._occ))
+        publish_stack_gauges(
+            self,
+            maxlocks_fraction=self.maxlocks.fraction(),
+            sessions=sum(occ["sessions"] for occ in self._occ),
+            escalations=sum(occ["escalations"] for occ in self._occ),
         )
         reg.gauge("service.workers").set(float(self.config.workers))
         reg.gauge("service.workers_alive").set(
@@ -1331,16 +1071,8 @@ class WorkerPoolStack:
             "workers_alive": sum(alive),
             "worker_crashes": self.worker_crashes,
             "frozen_reason": self.frozen_reason,
-            "tuner": {
-                "alive": self.tuner.alive,
-                "frozen": self.tuner.frozen,
-                "intervals": self.tuner.intervals_run,
-            },
-            "detector": {
-                "alive": self.detector.crash is None,
-                "checks": self.detector.checks,
-                "victims": len(self.detector.victims),
-            },
+            "tuner": self.tuner.status(),
+            "detector": self.detector.status(),
         }
 
     def ops_stmm(self) -> dict:
@@ -1350,36 +1082,18 @@ class WorkerPoolStack:
         stack (the ``top`` dashboard reads those), plus a per-worker
         ``posture`` breakdown for remote analysis.
         """
-        return {
-            "params": controller_params(self.config, self.tuner),
-            "locklist_pages": self.chain.allocated_pages,
-            "locklist_free_fraction": self.chain.free_fraction(),
-            "maxlocks_fraction": self.maxlocks.fraction(),
+        payload = stmm_payload(self, self.maxlocks.fraction())
+        payload["posture"] = {
+            "allocated_pages": self.chain.allocated_pages,
+            "per_worker_blocks": list(self._blocks),
+            "borrowed_blocks": [
+                self.ledger.borrowed_blocks(idx)
+                for idx in range(self.config.workers)
+            ],
             "overflow_pages": self.registry.overflow_pages,
-            "posture": {
-                "allocated_pages": self.chain.allocated_pages,
-                "per_worker_blocks": list(self._blocks),
-                "borrowed_blocks": [
-                    self.ledger.borrowed_blocks(idx)
-                    for idx in range(self.config.workers)
-                ],
-                "overflow_pages": self.registry.overflow_pages,
-                "maxlocks_fraction": self.maxlocks.fraction(),
-            },
-            "audit": self.tuner.audit.to_dicts(),
-            "audit_total": self.tuner.audit.total_recorded,
-            "intervals": self.tuner.intervals_run,
-            "frozen_reason": self.frozen_reason,
-            "incident_total": self.incidents.total_recorded,
+            "maxlocks_fraction": self.maxlocks.fraction(),
         }
-
-    def ops_incidents(self) -> dict:
-        """The ``/incidents`` body: the forensics ring, oldest first."""
-        return {
-            "total": self.incidents.total_recorded,
-            "counts": self.incidents.kind_counts(),
-            "incidents": self.incidents.to_dicts(),
-        }
+        return payload
 
     def _install_worker_metrics(self, idx: int, snapshot: dict) -> None:
         """Merge one worker's registry snapshot under ``worker="N"``.
@@ -1452,11 +1166,8 @@ class WorkerPoolStack:
 
 
 __all__ = [
-    "ArbiterDaemon",
-    "RemoteWorkerChain",
-    "WorkerDeadlockDetector",
+    "WorkerChain",
     "WorkerDiedError",
-    "WorkerMemoryLedger",
     "WorkerPoolConfig",
     "WorkerPoolStack",
     "WorkerReconciliation",

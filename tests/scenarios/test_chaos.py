@@ -10,9 +10,9 @@ survivors frozen and the scenario marked ``expected-degraded`` -- not
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.scenarios import EXPECTED_DEGRADED, run_scenario
+from repro.scenarios import EXPECTED_DEGRADED, FAIL, run_scenario
 from repro.scenarios.grid import ScenarioSpec, scenario_id
-from repro.service.chaos import CHAOS, build_chaos
+from repro.service.chaos import CHAOS, TOPOLOGIES, build_chaos
 
 
 def make_spec(params, slug="chaos"):
@@ -101,3 +101,37 @@ class TestWorkerSigkill:
         assert checks["survivors-served"].ok
         # Completeness cannot hold after a SIGKILL: skipped, not failed.
         assert "completeness" not in checks
+
+
+class TestTopologyRequirements:
+    def test_tuner_crash_on_a_worker_pool_is_rejected(self):
+        """``requires`` is enforced before any stack is built: the
+        in-process tuner crash never runs against the worker pool."""
+        assert build_chaos("tuner-crash").requires == {"local", "sharded"}
+        result = run_scenario(
+            make_spec(
+                {
+                    "kind": "service",
+                    "regime": "uniform",
+                    "threads": 2,
+                    "requests_per_thread": 50,
+                    "seed": 5,
+                    "workers": 1,
+                    "chaos": "tuner-crash",
+                },
+                slug="tuner-crash-pool",
+            )
+        )
+        assert result.verdict.status == FAIL
+        (crashed,) = result.verdict.checks
+        assert crashed.name == "run-crashed"
+        assert crashed.detail.startswith("ConfigurationError")
+        assert "'tuner-crash'" in crashed.detail
+        assert "'pool'" in crashed.detail
+
+    def test_every_injection_names_known_topologies(self):
+        for name in CHAOS:
+            requires = build_chaos(name).requires
+            assert requires and requires <= TOPOLOGIES, name
+        assert build_chaos("shard-stall").requires == {"sharded"}
+        assert build_chaos("worker-sigkill").requires == {"pool"}

@@ -7,12 +7,18 @@ by global footprint with the documented lowest-app-id tie-break, and
 that the degraded path (graph-merge invariant violation) fails loudly.
 """
 
+import threading
+
 import pytest
 
 from repro.errors import DeadlockError, LockManagerError
 from repro.lockmgr.detector import merge_wait_graphs
 from repro.lockmgr.modes import LockMode
-from repro.service.sharded import ShardedServiceConfig, ShardedServiceStack
+from repro.service.sharded import (
+    ShardedDeadlockDetector,
+    ShardedServiceConfig,
+    ShardedServiceStack,
+)
 from tests.service.sched import ScriptedThread, wait_until
 
 
@@ -37,6 +43,11 @@ def park_all(service, requests):
         what="all cycle participants parked",
     )
     return threads
+
+
+def global_slots(service, app):
+    """Lock structures ``app`` holds summed over every shard."""
+    return sum(shard.manager.app_slots(app) for shard in service.shards)
 
 
 class TestCycleSpans:
@@ -145,7 +156,7 @@ class TestVictimChoice:
         service.lock_table(a, 0, LockMode.X)  # shard 0
         service.lock_table(b, 1, LockMode.X)  # shard 1
         threads = park_all(service, [(a, 1), (b, 0)])
-        assert service.ledger.app_slots(a) > service.ledger.app_slots(b)
+        assert global_slots(service, a) > global_slots(service, b)
 
         assert stack.detector.check() == 1
         # b holds fewer structures globally, so b is the victim even
@@ -170,7 +181,7 @@ class TestVictimChoice:
         service.lock_table(b, 1, LockMode.X)
         service.lock_table(a, 0, LockMode.X)
         threads = park_all(service, [(b, 0), (a, 1)])
-        assert service.ledger.app_slots(a) == service.ledger.app_slots(b)
+        assert global_slots(service, a) == global_slots(service, b)
 
         stack.detector.check()
         assert stack.detector.stats.victims == [min(a, b)]
@@ -209,6 +220,100 @@ class TestSweepThread:
                 service.rollback(app)
                 service.close_session(app)
         stack.check_invariants()
+
+
+class FakeShard:
+    """A scripted shard: its waiters' edges and its per-app footprints.
+
+    Each sweep reads these as they stand, one shard at a time -- like
+    worker processes answering separate round trips, the snapshots are
+    not atomic with each other.
+    """
+
+    def __init__(self):
+        self.waits = {}  # waiting app -> apps it waits for
+        self.slots = {}  # app -> lock structures held on this shard
+        self.victims = []
+
+    def waiting_sessions(self):
+        return set(self.waits)
+
+    def graph(self, waiting):
+        graph = {
+            app: [blocker for blocker in blockers if blocker in waiting]
+            for app, blockers in self.waits.items()
+        }
+        return graph, {app: self.slots.get(app, 0) for app in waiting}
+
+    def victimize(self, app, message):
+        if self.waits.pop(app, None) is None:
+            return False, ""
+        self.victims.append(app)
+        return True, "table 0"
+
+
+def two_shard_cycle(a_slots=(1, 1), b_slots=(1, 1)):
+    """App 1 waits on shard 0 for app 2, app 2 on shard 1 for app 1."""
+    shards = [FakeShard(), FakeShard()]
+    shards[0].waits[1] = [2]
+    shards[1].waits[2] = [1]
+    for shard, a, b in zip(shards, a_slots, b_slots):
+        shard.slots.update({1: a, 2: b})
+    return shards
+
+
+class TestSnapshotPolicy:
+    """Two-sweep phantom confirmation vs first-sight victimization."""
+
+    def test_cycle_seen_once_is_not_victimized(self):
+        shards = two_shard_cycle()
+        detector = ShardedDeadlockDetector(shards)
+        assert detector.check() == 0
+        assert detector.stats.cycles_found == 0
+        assert detector.stats.victims == []
+        assert shards[0].victims == shards[1].victims == []
+
+    def test_cycle_seen_twice_is_victimized_by_global_footprint(self):
+        # App 1 holds 3 + 2 structures globally, app 2 holds 1 + 3:
+        # app 2 is the lighter victim although app 1 has the lower id.
+        shards = two_shard_cycle(a_slots=(3, 2), b_slots=(1, 3))
+        detector = ShardedDeadlockDetector(shards)
+        recorded = []
+        detector.on_victim = lambda *args: recorded.append(args)
+        assert detector.check() == 0
+        assert detector.check() == 1
+        assert detector.stats.cycles_found == 1
+        assert detector.stats.victims == [2]
+        assert shards[1].victims == [2]  # cancelled where it waits
+        assert recorded == [(1, 2, "table 0", [1, 2])]
+        assert detector.check() == 0  # broken: nothing left to confirm
+
+    def test_equal_footprints_victimize_the_lowest_app_id(self):
+        shards = two_shard_cycle(a_slots=(2, 0), b_slots=(0, 2))
+        detector = ShardedDeadlockDetector(shards)
+        detector.check()
+        assert detector.check() == 1
+        assert detector.stats.victims == [1]
+        assert shards[0].victims == [1]
+
+    def test_cycle_that_dissolves_between_sweeps_is_dropped(self):
+        shards = two_shard_cycle()
+        detector = ShardedDeadlockDetector(shards)
+        assert detector.check() == 0  # seen once
+        blockers = shards[0].waits.pop(1)  # app 1 got its grant
+        assert detector.check() == 0
+        shards[0].waits[1] = blockers  # a new wait closes it again
+        assert detector.check() == 0  # seen once more: still pending
+        assert detector.stats.victims == []
+        assert detector.check() == 1
+
+    def test_atomic_snapshots_victimize_on_first_sight(self):
+        shards = two_shard_cycle()
+        detector = ShardedDeadlockDetector(
+            shards, snapshot_lock=threading.Lock()
+        )
+        assert detector.check() == 1
+        assert detector.stats.victims == [1]
 
 
 class TestMergeBackstop:

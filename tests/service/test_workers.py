@@ -12,6 +12,7 @@ import os
 import signal
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -160,8 +161,8 @@ class TestCrossWorkerDeadlock:
                     t.join(timeout=30.0)
                 assert not any(t.is_alive() for t in threads)
                 assert sorted(outcomes.values()) == ["deadlock", "granted"]
-                assert pool.detector.cycles_found >= 1
-                assert len(pool.detector.victims) >= 1
+                assert pool.detector.stats.cycles_found >= 1
+                assert len(pool.detector.stats.victims) >= 1
                 assert pool.incidents.kind_counts().get("deadlock", 0) >= 1
                 for app in (a, b):
                     client.rollback(app)
@@ -174,9 +175,9 @@ class TestCrossWorkerDeadlock:
                 with net.service.session() as app:
                     net.service.lock_row(app, 0, 1, LockMode.X)
                     net.service.lock_row(app, 1, 1, LockMode.X)
-                assert wait_until(lambda: pool.detector.checks >= 2)
-            assert pool.detector.cycles_found == 0
-            assert pool.detector.victims == []
+                assert wait_until(lambda: pool.detector.stats.checks >= 2)
+            assert pool.detector.stats.cycles_found == 0
+            assert pool.detector.stats.victims == []
 
 
 class TestWorkerCrash:
@@ -217,3 +218,35 @@ class TestWorkerCrash:
         states = {w["worker"]: w["state"] for w in rec.workers}
         assert states[0] == "crashed"
         assert states[1] == "closed"
+
+
+class TestControlPlaneBudget:
+    def test_quiet_pool_round_trips_per_sweep_and_pass(self):
+        """Pins the control-plane cost a quiet pool pays: per deadlock
+        sweep one ``waiting`` round trip per live worker (and no
+        ``graph``), per tuner pass one ``occupancy`` round trip per
+        live worker."""
+        pool = WorkerPoolStack(
+            pool_config(tuner_interval_s=0.02, deadlock_interval_s=0.02)
+        )
+        ops = Counter()
+        real_call = pool._call
+
+        def counting_call(idx, op, *args, **kwargs):
+            ops[op] += 1
+            return real_call(idx, op, *args, **kwargs)
+
+        pool._call = counting_call
+        with pool:
+            assert wait_until(
+                lambda: pool.tuner.intervals_run >= 5
+                and pool.detector.stats.checks >= 5
+            )
+            # Join both loops so the counts and their counters agree.
+            pool.detector.stop()
+            pool.tuner.stop()
+            workers = pool.config.workers
+            assert ops["waiting"] == workers * pool.detector.stats.checks
+            assert ops["graph"] == 0
+            assert ops["occupancy"] == workers * pool.tuner.intervals_run
+        assert pool.reconciliation is not None and pool.reconciliation.ok
