@@ -24,6 +24,10 @@ from repro.lockmgr.blocks import LockBlock
 from repro.lockmgr.modes import LockMode, compatible, supremum
 from repro.lockmgr.resources import ResourceId
 
+#: Lock modes per ``mode_counts`` vector.  A constant: ``len(LockMode)``
+#: runs the Python-level ``EnumMeta.__len__`` on every new lock object.
+_MODE_COUNT = len(LockMode)
+
 
 class HeldLock:
     """One application's grant on a resource (one lock structure).
@@ -101,7 +105,7 @@ class LockObject:
         self.resource = resource
         self.granted: Dict[int, HeldLock] = {}
         self.waiters: Deque[Waiter] = deque()
-        self.mode_counts = [0] * len(LockMode)
+        self.mode_counts = [0] * _MODE_COUNT
 
     @property
     def is_idle(self) -> bool:
@@ -133,7 +137,7 @@ class LockObject:
         """Record a fresh grant (caller verified compatibility)."""
         if app_id in self.granted:
             raise LockManagerError(f"app {app_id} already holds {self.resource}")
-        held = HeldLock(app_id, mode, count=1, block=block)
+        held = HeldLock(app_id, mode, 1, block)
         self.granted[app_id] = held
         self.mode_counts[mode._idx] += 1  # type: ignore[attr-defined]
         return held
@@ -231,7 +235,7 @@ class LockObject:
 
     def check_invariants(self) -> None:
         """Verify the mode counters match the granted set (tests)."""
-        expected = [0] * len(LockMode)
+        expected = [0] * _MODE_COUNT
         for held in self.granted.values():
             expected[held.mode._idx] += 1  # type: ignore[attr-defined]
         if expected != self.mode_counts:

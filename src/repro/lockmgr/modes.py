@@ -170,17 +170,25 @@ def covers(held: LockMode, requested: LockMode) -> bool:
     return _COVERS_TABLE[held._idx][requested._idx]  # type: ignore[attr-defined]
 
 
+#: Row mode index -> covering table intent mode (see intent_mode_for_row).
+#: Indexed by ``_idx`` like the tables above: a dict keyed by the enum
+#: would pay the Python-level ``Enum.__hash__`` on every row request.
+_INTENT_TABLE: list = [
+    LockMode.IS if mode in (LockMode.S, LockMode.IS) else LockMode.IX
+    for mode in LockMode
+]
+
+
 def intent_mode_for_row(row_mode: LockMode) -> LockMode:
     """The table intent mode required before taking a row lock.
 
     Reading rows (S/IS row locks) needs IS on the table; any modifying
-    row mode (U, X) needs IX.
+    row mode (U, X, IX, SIX) needs IX.  Anything that is not a lock mode
+    raises ValueError (modes arrive from callers and over the wire).
     """
-    if row_mode in (LockMode.S, LockMode.IS):
-        return LockMode.IS
-    if row_mode in (LockMode.U, LockMode.X, LockMode.IX, LockMode.SIX):
-        return LockMode.IX
-    raise ValueError(f"unsupported row lock mode {row_mode}")
+    if type(row_mode) is not LockMode:
+        raise ValueError(f"unsupported row lock mode {row_mode}")
+    return _INTENT_TABLE[row_mode._idx]  # type: ignore[attr-defined]
 
 
 def escalation_target_mode(row_modes) -> LockMode:

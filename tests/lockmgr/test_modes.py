@@ -106,6 +106,16 @@ class TestIntentMapping:
         assert intent_mode_for_row(LockMode.X) is LockMode.IX
         assert intent_mode_for_row(LockMode.U) is LockMode.IX
 
+    def test_every_mode_maps_as_the_read_write_split_says(self):
+        for mode in LockMode:
+            expected = LockMode.IS if mode in (LockMode.S, LockMode.IS) else LockMode.IX
+            assert intent_mode_for_row(mode) is expected
+
+    @pytest.mark.parametrize("bad", ["S", None, 2])
+    def test_non_mode_raises_value_error(self, bad):
+        with pytest.raises(ValueError, match="unsupported row lock mode"):
+            intent_mode_for_row(bad)
+
 
 class TestEscalationTarget:
     def test_read_only_escalates_to_s(self):

@@ -40,6 +40,25 @@ class TestValidation:
 
 
 class TestHashContract:
+    def test_row_resource_matches_the_generic_constructor(self):
+        fast = row_resource(3, 7)
+        generic = ResourceId(ResourceKind.ROW, 3, row_id=7)
+        assert fast == generic and hash(fast) == hash(generic)
+        for name in ("kind", "table_id", "page_id", "row_id", "is_table", "is_row"):
+            assert getattr(fast, name) == getattr(generic, name), name
+        assert repr(fast) == repr(generic) == "T3.R7"
+
+    def test_pickle_and_copy_round_trip(self):
+        import copy
+        import pickle
+
+        for rid in (table_resource(4), page_resource(4, 1), row_resource(4, 9)):
+            for clone in (pickle.loads(pickle.dumps(rid)), copy.deepcopy(rid)):
+                assert clone == rid and type(clone) is type(rid)
+                assert (clone.kind, clone.page_id, clone.row_id) == (
+                    rid.kind, rid.page_id, rid.row_id,
+                )
+
     def test_equal_values_equal_hashes(self):
         assert row_resource(3, 7) == row_resource(3, 7)
         assert hash(row_resource(3, 7)) == hash(row_resource(3, 7))
