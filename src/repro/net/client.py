@@ -2,19 +2,20 @@
 
 Three layers, innermost first:
 
-* :class:`ClientConnection` -- one socket with a pending-request
-  table: any number of caller threads may have requests in flight on
-  the same connection (pipelining).  There is no dedicated reader
-  thread -- whichever requester finds the read side free becomes the
-  reader and settles everyone's responses until its own arrives.
-* :class:`LockClient` -- a pool of connections presenting the
-  *service* surface the in-process stacks present
-  (``open_session`` / ``session()`` / ``lock_row`` / ``rollback`` /
-  ...), plus wire-only extras: ``lock_rows`` batching, ``stats``,
-  ``ping``.  Sessions are sticky to one connection because the server
-  binds session cleanup to the connection that opened them.
-* :class:`NetClientStack` -- the shim that makes a remote server look
-  like a :class:`~repro.service.stack.ServiceStack` to
+* :class:`ClientConnection` -- one Unix-domain socket with a
+  pending-request table: any number of caller threads may have
+  requests in flight on the same connection (pipelining).  There is no
+  dedicated reader thread -- whichever requester finds the read side
+  free becomes the reader and settles everyone's responses until its
+  own arrives.
+* :class:`RoutedLockClient` -- connection pools over a worker pool's
+  per-worker endpoints, presenting the *service* surface the in-process
+  stacks present (``open_session`` / ``session()`` / ``lock_row`` /
+  ``rollback`` / ...), plus wire-only extras: ``lock_rows`` batching,
+  ``stats``, ``ping``.  Each table is routed to the worker that owns
+  it; with one endpoint every table routes to that worker.
+* :class:`RoutedClientStack` -- the shim that makes the pool look like
+  a :class:`~repro.service.stack.ServiceStack` to
   :class:`~repro.service.driver.LoadDriver`: ``.service`` is the
   client, ``.admission`` is a *local* admission controller (back-
   pressure belongs at the edge; the server never queues admissions).
@@ -103,23 +104,11 @@ class ClientConnection:
     design (two context switches saved per request).
     """
 
-    def __init__(
-        self, host: str, port: int, *, connect_timeout_s: float = 5.0
-    ) -> None:
-        self.host = host
-        self.port = port
-        if host.startswith("unix:"):
-            # Unix-domain transport: ``host="unix:/path"``, port unused.
-            # The default for same-box deployments (worker pools): the
-            # same wire protocol over a cheaper kernel path.
-            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(connect_timeout_s)
-            self._sock.connect(host[len("unix:"):])
-        else:
-            self._sock = socket.create_connection(
-                (host, port), timeout=connect_timeout_s
-            )
-            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    def __init__(self, path: str, *, connect_timeout_s: float = 5.0) -> None:
+        self.path = path
+        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._sock.settimeout(connect_timeout_s)
+        self._sock.connect(path)
         self._sock.settimeout(None)
         self._send_lock = threading.Lock()
         #: Guards the _dead flip and the victim sweep in _fail; the
@@ -157,7 +146,7 @@ class ClientConnection:
         """
         if self._dead is not None:
             raise ConnectionLostError(
-                f"connection to {self.host}:{self.port} is down: "
+                f"connection to {self.path} is down: "
                 f"{self._dead}"
             )
         try:
@@ -176,14 +165,14 @@ class ClientConnection:
             self._pending.pop(request_id, None)
             self._fail(exc)
             raise ConnectionLostError(
-                f"send to {self.host}:{self.port} failed: {exc}"
+                f"send to {self.path} failed: {exc}"
             ) from exc
         self._await(pending)
         response, error = pending.response, pending.error
         pending.reset()
         if error is not None:
             raise ConnectionLostError(
-                f"connection to {self.host}:{self.port} lost mid-request: "
+                f"connection to {self.path} lost mid-request: "
                 f"{error}"
             ) from error
         assert response is not None
@@ -197,12 +186,12 @@ class ClientConnection:
 
         Only for payloads carrying ``FLAG_NO_REPLY``: the server sends
         nothing back, so registering a pending entry would leak it.
-        The TCP stream still orders the op before any later request on
-        this connection.
+        The stream still orders the op before any later request on this
+        connection.
         """
         if self._dead is not None:
             raise ConnectionLostError(
-                f"connection to {self.host}:{self.port} is down: "
+                f"connection to {self.path} is down: "
                 f"{self._dead}"
             )
         frame = wire.encode_frame(payload)
@@ -212,7 +201,7 @@ class ClientConnection:
         except OSError as exc:
             self._fail(exc)
             raise ConnectionLostError(
-                f"send to {self.host}:{self.port} failed: {exc}"
+                f"send to {self.path} failed: {exc}"
             ) from exc
 
     def _await(self, pending: _Pending) -> None:
@@ -301,291 +290,6 @@ class ClientConnection:
         self._fail(ConnectionLostError("closed by client"))
 
 
-class LockClient:
-    """Pooled sync facade over one server, session-sticky.
-
-    Presents the same method surface (and raises the same exception
-    classes) as the in-process services, so code written against
-    :class:`LockService` -- including :class:`LoadDriver` -- drives a
-    remote server unchanged.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        pool_size: int = 2,
-        connect_timeout_s: float = 5.0,
-    ) -> None:
-        if pool_size <= 0:
-            raise ValueError(f"pool_size must be positive, got {pool_size}")
-        self.host = host
-        self.port = port
-        self.pool_size = pool_size
-        self.connect_timeout_s = connect_timeout_s
-        self._lock = threading.Lock()
-        self._pool: List[Optional[ClientConnection]] = [None] * pool_size
-        self._next_slot = 0
-        self._sessions: Dict[int, ClientConnection] = {}
-        #: Open-but-idle sessions per connection, recycled by
-        #: :meth:`session` to avoid an open/close round-trip pair per
-        #: transaction scope.
-        self._idle_sessions: Dict[ClientConnection, List[int]] = {}
-        self._closed = False
-        #: Connections replaced after dying (server restart forensics).
-        self.reconnects = 0
-
-    # -- pool management --
-
-    def _connection(self, slot: Optional[int] = None) -> ClientConnection:
-        with self._lock:
-            if self._closed:
-                raise ConnectionLostError("client is closed")
-            if slot is None:
-                slot = self._next_slot
-                self._next_slot = (self._next_slot + 1) % self.pool_size
-            conn = self._pool[slot]
-            if conn is not None and conn.alive:
-                return conn
-            if conn is not None:
-                self.reconnects += 1
-                self._idle_sessions.pop(conn, None)
-            conn = ClientConnection(
-                self.host, self.port, connect_timeout_s=self.connect_timeout_s
-            )
-            self._pool[slot] = conn
-            return conn
-
-    def _session_conn(self, app_id: int) -> ClientConnection:
-        conn = self._sessions.get(app_id)  # atomic read under the GIL
-        if conn is None:
-            raise wire.ServiceError(
-                f"app {app_id} has no live session on this client"
-            )
-        if not conn.alive:
-            # The server force-closed the session when the connection
-            # died; surface that instead of silently re-opening.
-            with self._lock:
-                self._sessions.pop(app_id, None)
-            raise ConnectionLostError(
-                f"session {app_id} was lost with its connection"
-            )
-        return conn
-
-    # -- the service surface --
-
-    def open_session(self) -> int:
-        conn = self._connection()
-        app_id = _value(conn.request(wire.encode_open_session))
-        with self._lock:
-            self._sessions[app_id] = conn
-        return app_id
-
-    def close_session(self, app_id: int, *, wait: bool = True) -> int:
-        """Close ``app_id`` (releasing all its locks server-side).
-
-        With ``wait=False`` the close is fire-and-forget: one send, no
-        round trip, return value 0.  The TCP stream still orders the
-        release before anything this client sends next, so the hot
-        open/lock/close transaction loop stays correct while paying
-        one round trip less per transaction.
-        """
-        conn = self._session_conn(app_id)
-        try:
-            if wait:
-                response = conn.request(
-                    lambda rid: wire.encode_close_session(rid, app_id)
-                )
-            else:
-                conn.send_only(
-                    wire.encode_close_session(0, app_id, no_reply=True)
-                )
-                response = 0
-        finally:
-            with self._lock:
-                self._sessions.pop(app_id, None)
-        return _value(response)
-
-    @contextlib.contextmanager
-    def session(self) -> Iterator[int]:
-        """A transaction scope: yields an app id, releases its locks on
-        exit.
-
-        Sessions are *recycled*: scope exit sends one fire-and-forget
-        ``release_all`` (the strict-2PL transaction boundary) and
-        parks the still-open session on a per-connection free list for
-        the next scope, so the steady-state cost of a scope is zero
-        round trips instead of the open/close pair.  Server-side
-        cleanup is unchanged -- recycled sessions stay bound to their
-        connection and are force-closed when it drops.
-        """
-        conn = self._connection()
-        app_id: Optional[int] = None
-        idle = self._idle_sessions.get(conn)
-        if idle:
-            # list.pop is atomic under the GIL; a concurrent pop on a
-            # just-emptied list surfaces as IndexError, not corruption.
-            try:
-                app_id = idle.pop()
-            except IndexError:
-                app_id = None
-        if app_id is None:
-            app_id = _value(conn.request(wire.encode_open_session))
-            with self._lock:
-                self._sessions[app_id] = conn
-        try:
-            yield app_id
-        finally:
-            recycled = False
-            with contextlib.suppress(ConnectionLostError):
-                conn.send_only(
-                    wire.encode_release_all(0, app_id, no_reply=True)
-                )
-                recycled = True
-            if recycled and not self._closed:
-                self._idle_sessions.setdefault(conn, []).append(app_id)
-            else:
-                self._sessions.pop(app_id, None)
-
-    def lock_row(
-        self,
-        app_id: int,
-        table_id: int,
-        row_id: int,
-        mode: Any,
-        timeout_s: object = _USE_DEFAULT,
-    ) -> None:
-        timeout = _wire_timeout(timeout_s)
-        mode_byte = wire.wire_mode(mode)
-        self._session_conn(app_id).request(
-            lambda rid: wire.pack_lock_row_frame(
-                rid, app_id, table_id, row_id, mode_byte, timeout
-            ),
-            raw=True,
-        )
-
-    def lock_table(
-        self,
-        app_id: int,
-        table_id: int,
-        mode: Any,
-        timeout_s: object = _USE_DEFAULT,
-    ) -> None:
-        timeout = _wire_timeout(timeout_s)
-        self._session_conn(app_id).request(
-            lambda rid: wire.encode_lock_table(
-                rid, app_id, table_id, wire.wire_mode(mode), timeout
-            )
-        )
-
-    def lock_rows(
-        self,
-        app_id: int,
-        accesses: Sequence[Tuple[int, int, Any]],
-        timeout_s: object = _USE_DEFAULT,
-    ) -> int:
-        """Batch: acquire every ``(table, row, mode)`` in one frame.
-
-        Returns the number granted.  On failure the locks granted
-        before the failing access are still held (exactly as if the
-        caller had looped ``lock_row``) -- roll back to shed them.
-        """
-        timeout = _wire_timeout(timeout_s)
-        triples = [(t, r, wire.wire_mode(m)) for t, r, m in accesses]
-        response = self._session_conn(app_id).request(
-            lambda rid: wire.encode_batch_lock(rid, app_id, triples, timeout)
-        )
-        return _value(response)
-
-    def release_read_lock(
-        self, app_id: int, table_id: int, row_id: int
-    ) -> bool:
-        response = self._session_conn(app_id).request(
-            lambda rid: wire.encode_unlock_read(rid, app_id, table_id, row_id)
-        )
-        return bool(_value(response))
-
-    def rollback(self, app_id: int) -> int:
-        response = self._session_conn(app_id).request(
-            lambda rid: wire.encode_release_all(rid, app_id)
-        )
-        return _value(response)
-
-    def cancel(self, app_id: int, message: str = "cancelled") -> bool:
-        response = self._session_conn(app_id).request(
-            lambda rid: wire.encode_cancel(rid, app_id)
-        )
-        return bool(_value(response))
-
-    # -- wire-only extras --
-
-    def stats(self) -> Dict[str, Any]:
-        response = self._connection().request(wire.encode_stats)
-        return json.loads(response.data.decode("utf-8"))
-
-    def ping(self) -> None:
-        self._connection().request(wire.encode_ping)
-
-    @property
-    def session_count(self) -> int:
-        with self._lock:
-            return len(self._sessions)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            conns = [c for c in self._pool if c is not None]
-            self._pool = [None] * self.pool_size
-            self._sessions.clear()
-        for conn in conns:
-            conn.close()
-
-    def __enter__(self) -> "LockClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class NetClientStack:
-    """Make a remote lock server drivable by :class:`LoadDriver`.
-
-    The driver touches exactly two attributes of its stack --
-    ``.service`` and ``.admission`` -- so this shim provides a
-    :class:`LockClient` as the service and a client-side
-    :class:`AdmissionController` for back-pressure (the wire protocol
-    deliberately has no admission op: shedding load *before* it hits
-    the socket is the whole point of admission control).
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        pool_size: int = 2,
-        max_in_flight: int = 64,
-        max_queue_depth: int = 256,
-    ) -> None:
-        self.service = LockClient(host, port, pool_size=pool_size)
-        self.admission = AdmissionController(
-            max_in_flight=max_in_flight, max_queue_depth=max_queue_depth
-        )
-
-    def close(self) -> None:
-        self.admission.close()
-        self.service.close()
-
-    def __enter__(self) -> "NetClientStack":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 class _RoutedSession:
     """One routed transaction scope: app id + per-worker connections.
 
@@ -614,12 +318,14 @@ class RoutedLockClient:
     on first touch; worker-allocated app ids come from disjoint
     arithmetic progressions, so adoption never collides.
 
-    Presents the same service surface as :class:`LockClient`, so
-    :class:`LoadDriver` drives a multi-process pool unchanged.
-    Sessions are recycled exactly like :class:`LockClient.session`:
-    scope exit fans one fire-and-forget ``release_all`` out to every
-    adopted worker (strict 2PL commit across the pool) and parks the
-    record for the next scope, keeping adoption warm.
+    Presents the same service surface as the in-process services (and
+    raises the same exception classes), so :class:`LoadDriver` drives
+    the pool unchanged.  Sessions are *recycled*: scope exit fans one
+    fire-and-forget ``release_all`` out to every adopted worker (strict
+    2PL commit across the pool) and parks the record for the next
+    scope, so a steady-state scope costs no open/close round trips and
+    keeps adoption warm.  Recycled sessions stay bound to their
+    connections server-side and are force-closed when one drops.
     """
 
     def __init__(
@@ -635,8 +341,13 @@ class RoutedLockClient:
             raise ValueError("need at least one worker endpoint")
         if pool_size <= 0:
             raise ValueError(f"pool_size must be positive, got {pool_size}")
-        self._endpoints = list(endpoints)
-        self._n = len(self._endpoints)
+        #: Socket path per worker; endpoints are ``("unix:<path>", 0)``.
+        self._paths: List[str] = []
+        for host, _port in endpoints:
+            if not host.startswith("unix:"):
+                raise ValueError(f"endpoint {host!r} is not unix:<path>")
+            self._paths.append(host[len("unix:"):])
+        self._n = len(self._paths)
         self.pool_size = pool_size
         self.connect_timeout_s = connect_timeout_s
         self._lock = threading.Lock()
@@ -687,9 +398,8 @@ class RoutedLockClient:
                 return conn
             if conn is not None:
                 self.reconnects += 1
-            host, port = self._endpoints[worker]
             conn = ClientConnection(
-                host, port, connect_timeout_s=self.connect_timeout_s
+                self._paths[worker], connect_timeout_s=self.connect_timeout_s
             )
             self._pool[worker][slot] = conn
             return conn
@@ -1059,9 +769,13 @@ class RoutedLockClient:
 class RoutedClientStack:
     """Make a worker pool drivable by :class:`LoadDriver`.
 
-    Same shape as :class:`NetClientStack` -- ``.service`` plus a local
-    ``.admission`` -- but the service is a :class:`RoutedLockClient`
-    over every worker endpoint.
+    The driver touches exactly two attributes of its stack --
+    ``.service`` and ``.admission`` -- so this shim provides a
+    :class:`RoutedLockClient` over every worker endpoint as the service
+    and a client-side :class:`AdmissionController` for back-pressure
+    (the wire protocol deliberately has no admission op: shedding load
+    *before* it hits the socket is the whole point of admission
+    control).
     """
 
     def __init__(
@@ -1095,8 +809,6 @@ class RoutedClientStack:
 __all__ = [
     "ClientConnection",
     "ConnectionLostError",
-    "LockClient",
-    "NetClientStack",
     "RoutedClientStack",
     "RoutedLockClient",
 ]

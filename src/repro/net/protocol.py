@@ -126,7 +126,7 @@ FLAG_HAS_TIMEOUT = 0x01
 #: flags bit 1: fire-and-forget -- the server executes the request but
 #: sends no response frame (success or failure).  Only meaningful for
 #: ops whose result the caller can discard (session close, rollback):
-#: the TCP stream still orders the op before everything the client
+#: the stream socket still orders the op before everything the client
 #: sends next, so "close then open" semantics are preserved without
 #: paying a round trip.
 FLAG_NO_REPLY = 0x02

@@ -1,7 +1,7 @@
 """Socket server fronting a lock service.
 
-One :class:`ThreadedLockServer` listens on a TCP or Unix-domain socket
-and speaks :mod:`repro.net.protocol` on every accepted connection, each
+One :class:`ThreadedLockServer` listens on a Unix-domain socket and
+speaks :mod:`repro.net.protocol` on every accepted connection, each
 served by its own reader thread.  Requests are **pipelined**: each
 decoded frame becomes an independent unit of work and responses are
 written in completion order, matched by request id -- a connection
@@ -37,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.net import protocol as wire
-from repro.service.service import _USE_DEFAULT
+from repro.service.service import _USE_DEFAULT, LockService
 
 logger = logging.getLogger(__name__)
 
@@ -52,37 +52,25 @@ def _json_safe(value: Any) -> Any:
 
 
 class ServiceBackend:
-    """Adapts a lock-service-shaped object to the wire operations.
-
-    Works against :class:`~repro.service.service.LockService`,
-    :class:`~repro.service.sharded.ShardedLockService`, or anything
-    duck-typing their session/lock surface.  ``try_fast`` exposes the
-    non-blocking grant attempt when the service has one.
+    """Adapts a :class:`~repro.service.service.LockService` to the wire
+    operations.  ``try_fast`` exposes its non-blocking grant attempt.
     """
 
     def __init__(
-        self,
-        service: Any,
-        *,
-        name: str = "service",
-        tracer: Any = None,
-        incidents: Any = None,
+        self, service: LockService, *, name: str = "service", tracer: Any = None
     ) -> None:
         self.service = service
         self.name = name
-        self._uncontended = getattr(service, "lock_row_uncontended", None)
+        self._uncontended = service.lock_row_uncontended
         #: Optional :class:`repro.obs.tracing.ServerTracer` -- when set,
         #: requests carrying a sampled trace context take the timed
         #: dispatch path and their OK replies carry a hop report.
         self.tracer = tracer
-        #: Optional :class:`repro.obs.incidents.IncidentRecorder` --
-        #: traced executions register their trace id so incidents
-        #: raised while they run (deadlock victim, escalation) are
-        #: stamped with it.  Falls back to the service's own recorder.
-        self._incidents = incidents
-        if self._incidents is None:
-            manager = getattr(service, "manager", None)
-            self._incidents = getattr(manager, "incidents", None)
+        #: The service's :class:`repro.obs.incidents.IncidentRecorder`
+        #: (None when it records no incidents) -- traced executions
+        #: register their trace id so incidents raised while they run
+        #: (deadlock victim, escalation) are stamped with it.
+        self._incidents = service.manager.incidents
 
     #: Ops that only ever take the service mutex for microseconds --
     #: they run inline on the connection's reader thread.  Everything
@@ -108,7 +96,7 @@ class ServiceBackend:
 
     def try_fast(self, req: wire.Request) -> bool:
         """Attempt an immediate grant; False means "use the slow path"."""
-        if self._uncontended is None or req.op != wire.OP_LOCK_ROW:
+        if req.op != wire.OP_LOCK_ROW:
             return False
         return self._uncontended(
             req.app_id, req.table_id, req.row_id, req.lock_mode
@@ -118,8 +106,6 @@ class ServiceBackend:
         self, app_id: int, table_id: int, row_id: int, mode: int
     ) -> bool:
         """:meth:`try_fast` without the Request object (hot path)."""
-        if self._uncontended is None:
-            return False
         return self._uncontended(
             app_id, table_id, row_id, wire.WIRE_TO_MODE[mode]
         )
@@ -180,12 +166,7 @@ class ServiceBackend:
         if op == wire.OP_CLOSE_SESSION:
             return svc.close_session(req.app_id), b""
         if op == wire.OP_ADOPT_SESSION:
-            adopt = getattr(svc, "adopt_session", None)
-            if adopt is None:
-                raise wire.ProtocolError(
-                    f"{self.name} does not support session adoption"
-                )
-            adopt(req.app_id)
+            svc.adopt_session(req.app_id)
             return 0, b""
         if op == wire.OP_CANCEL:
             return int(svc.cancel(req.app_id)), b""
@@ -205,12 +186,9 @@ class ServiceBackend:
         ``trace_id`` in its data, linking the incident to the exact
         traced request it hurt.
         """
-        incidents = self._incidents
-        if incidents is None:
+        if self._incidents is None:
             return self.execute(req)
-        trace_ids = getattr(incidents, "trace_ids", None)
-        if trace_ids is None:
-            return self.execute(req)
+        trace_ids = self._incidents.trace_ids
         trace_ids[req.app_id] = req.trace_id
         try:
             return self.execute(req)
@@ -219,22 +197,13 @@ class ServiceBackend:
 
     def stats_payload(self) -> Dict[str, Any]:
         svc = self.service
-        sessions = svc.session_count
-        waiting = svc.waiting_sessions
-        payload: Dict[str, Any] = {
+        return {
             "name": self.name,
-            "sessions": sessions() if callable(sessions) else sessions,
-            "waiting": waiting() if callable(waiting) else waiting,
+            "sessions": svc.session_count(),
+            "waiting": svc.waiting_sessions(),
+            "service": dataclasses.asdict(svc.stats),
+            "manager": dataclasses.asdict(svc.manager.stats),
         }
-        agg = getattr(svc, "aggregate_stats", None)
-        service_stats = agg() if agg is not None else svc.stats
-        payload["service"] = dataclasses.asdict(service_stats)
-        mgr = getattr(svc, "manager_stats", None)
-        if mgr is not None:
-            payload["manager"] = dataclasses.asdict(mgr())
-        else:
-            payload["manager"] = dataclasses.asdict(svc.manager.stats)
-        return payload
 
     def cleanup_session(self, app_id: int) -> None:
         """Force-release a disconnected client's session."""
@@ -504,34 +473,26 @@ class _ThreadedConnection:
 
 
 class ThreadedLockServer:
-    """Thread-per-connection lock server (the service's network front end).
+    """Thread-per-connection lock server on one Unix-domain socket.
 
     Each connection gets a dedicated reader thread rather than sharing
     an epoll loop.  On a single core an event loop's epoll dispatch
     costs ~25-30us per round trip over a plain blocking recv, which is
     more than an uncontended lock request's entire service time; since
     the data plane serves a handful of long-lived connections (not
-    thousands), threads win decisively there.  Both the ``--net`` CLI
-    path and the worker pool serve through this class.
+    thousands), threads win decisively there.  Every worker of the
+    pool (:mod:`repro.service.workers`) serves through this class.
     """
 
     def __init__(
         self,
         backend: ServiceBackend,
         *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        path: Optional[str] = None,
+        path: str,
         executor_threads: int = 16,
         metrics: Any = None,
-        metric_labels: Optional[Dict[str, str]] = None,
     ) -> None:
         self.backend = backend
-        self.host = host
-        self.port = port
-        #: Unix-domain socket path; when set it replaces host/port and
-        #: ``address`` reports ``("unix:<path>", 0)`` so clients can be
-        #: built with ``NetClientStack(*server.address)`` either way.
         self.path = path
         self.executor = ThreadPoolExecutor(
             max_workers=executor_threads,
@@ -545,34 +506,24 @@ class ThreadedLockServer:
         self._responses = 0
         self._response_counter = None
         if metrics is not None:
-            self._response_counter = metrics.counter(
-                "net.responses", labels=metric_labels
-            )
+            self._response_counter = metrics.counter("net.responses")
 
     def start(self) -> Tuple[str, int]:
         if self._listener is not None:
             raise RuntimeError("server already started")
-        if self.path is not None:
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            with contextlib.suppress(OSError):
-                os.unlink(self.path)  # stale socket from a dead server
-            listener.bind(self.path)
-            self.host, self.port = f"unix:{self.path}", 0
-        else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        with contextlib.suppress(OSError):
+            os.unlink(self.path)  # stale socket from a dead server
+        listener.bind(self.path)
         listener.listen(64)
         self._listener = listener
-        if self.path is None:
-            self.host, self.port = listener.getsockname()[:2]
         self._accept_thread = threading.Thread(
             target=self._accept_loop,
             name=f"lockserver-{self.backend.name}",
             daemon=True,
         )
         self._accept_thread.start()
-        return self.host, self.port
+        return self.address
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
@@ -585,8 +536,6 @@ class ThreadedLockServer:
                 with contextlib.suppress(OSError):
                     sock.close()
                 return
-            if self.path is None:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _ThreadedConnection(self, sock)
             with self._conn_lock:
                 if self._stopping:
@@ -603,25 +552,16 @@ class ThreadedLockServer:
         # accept() on Linux; poke it with a throwaway connection so the
         # accept loop observes the stop flag immediately.
         with contextlib.suppress(OSError):
-            if self.path is not None:
-                poke = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                poke.settimeout(1.0)
-                poke.connect(self.path)
-                poke.close()
-            else:
-                poke_host = (
-                    "127.0.0.1" if self.host == "0.0.0.0" else self.host
-                )
-                socket.create_connection(
-                    (poke_host, self.port), timeout=1.0
-                ).close()
+            poke = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            poke.settimeout(1.0)
+            poke.connect(self.path)
+            poke.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
         with contextlib.suppress(OSError):
             self._listener.close()
-        if self.path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self.path)
+        with contextlib.suppress(OSError):
+            os.unlink(self.path)
         with self._conn_lock:
             conns = list(self._connections)
         for conn in conns:
@@ -639,7 +579,8 @@ class ThreadedLockServer:
 
     @property
     def address(self) -> Tuple[str, int]:
-        return self.host, self.port
+        """The endpoint as clients take it: ``("unix:<path>", 0)``."""
+        return f"unix:{self.path}", 0
 
     def __enter__(self) -> "ThreadedLockServer":
         self.start()
@@ -649,37 +590,7 @@ class ThreadedLockServer:
         self.stop()
 
 
-def serve_service(
-    service: Any,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    path: Optional[str] = None,
-    executor_threads: int = 16,
-    name: str = "service",
-    metrics: Any = None,
-    metric_labels: Optional[Dict[str, str]] = None,
-) -> ThreadedLockServer:
-    """Build and start a lock server for ``service``.
-
-    The data plane is served by blocking per-connection reader threads;
-    ``path`` selects a Unix-domain socket for same-box deployments.
-    """
-    server = ThreadedLockServer(
-        ServiceBackend(service, name=name),
-        host=host,
-        port=port,
-        path=path,
-        executor_threads=executor_threads,
-        metrics=metrics,
-        metric_labels=metric_labels,
-    )
-    server.start()
-    return server
-
-
 __all__ = [
     "ServiceBackend",
     "ThreadedLockServer",
-    "serve_service",
 ]

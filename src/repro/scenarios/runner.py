@@ -314,17 +314,18 @@ def _pool_accounting_checks(pool, skip: frozenset) -> List[Check]:
     return checks
 
 
-def _trace_ring_summary(stack) -> Dict[str, Any]:
+def _trace_ring_summary(pool=None) -> Dict[str, Any]:
     """The run's distributed-trace posture for result.json.
 
     Counts only (no timings), so the record stays stable across hosts:
     how many requests were sampled, how many round trips finished, how
     many finished traces fell off the bounded rings, and how many the
     rings still held at shutdown.  All zeros with ``enabled: false``
-    when the scenario ran untraced (the default -- grids opt in via a
+    for in-process stacks (``pool=None``: only the wire traces) and for
+    untraced pools (the default -- grids opt in via a
     ``trace_sample_every`` param).
     """
-    every = int(getattr(stack.config, "trace_sample_every", 0) or 0)
+    every = 0 if pool is None else pool.config.trace_sample_every
     summary = {
         "enabled": every > 0,
         "sample_every": every,
@@ -333,7 +334,9 @@ def _trace_ring_summary(stack) -> Dict[str, Any]:
         "truncated": 0,
         "held": 0,
     }
-    for tracer in stack.request_tracers:
+    if pool is None:
+        return summary
+    for tracer in pool.request_tracers:
         counts = tracer.summary()
         summary["sampled"] += counts["started"]
         summary["finished"] += counts["finished"]
@@ -354,7 +357,7 @@ def _service_metrics(stack, report, dss: Optional[_DssTenant]) -> Dict[str, Any]
             "peak_used_slots": stats.peak_used_slots,
             "tuner_intervals": stack.tuner.intervals_run,
             "frozen_reason": stack.service.frozen_reason,
-            "trace_ring": _trace_ring_summary(stack),
+            "trace_ring": _trace_ring_summary(),
         }
     )
     if dss is not None:

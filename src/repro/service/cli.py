@@ -11,15 +11,14 @@ Subcommands:
     initial LOCKLIST (so synchronous growth and escalation both fire),
     then assert byte-exact memory accounting at shutdown.  Exits
     non-zero on any invariant violation or worker error.  ``--net``
-    drives the same load over the wire protocol (a server plus client
-    stack in this process); ``--net --workers N`` forks the
-    multi-process worker pool and additionally asserts the arbiter's
+    drives the same load over the wire protocol through the worker
+    pool (``--workers N`` processes, default 1, each behind its own
+    Unix-domain socket) and additionally asserts the arbiter's
     byte-exact cross-worker reconciliation.
 ``serve``
-    Stand up a lock server and run until interrupted (or
-    ``--duration``): a single in-process service over TCP or a Unix
-    socket, or -- with ``--workers N`` -- the worker-pool runtime with
-    one process per shard group and per-worker UDS endpoints.
+    Stand up the worker pool (``--workers N``, default 1) and run until
+    interrupted (or ``--duration``), printing each worker's Unix-domain
+    endpoint.
 ``capture``
     Run load while recording the ``(time, target_locks)`` demand trace
     to a JSONL file that ``repro.workloads.replay`` can consume.
@@ -49,12 +48,14 @@ Every load subcommand accepts ``--ops-port`` (serve ``/metrics`` /
 ``/healthz`` / ``/stmm`` while running), ``--span-sample N`` (sample
 every Nth request's admission->grant->release span) and ``--telemetry
 out.jsonl`` (export the run's registry, tuning decisions and audit
-trail as a JSONL stream readable by ``repro.obs``).  The networked
-pool lanes (``--net --workers N``) additionally accept
-``--trace-sample N``: sample every Nth wire request for an end-to-end
-distributed trace (client encode -> net wait -> server dispatch/lock
-wait/park/reply -> client decode), served on ``/traces`` and exported
-as schema-v5 ``reqtrace`` telemetry records.
+trail as a JSONL stream readable by ``repro.obs``); the worker pool
+(``--net`` and ``serve``) takes none of ``--span-sample``,
+``--wait-profile``, ``--broker`` or ``--shards`` and refuses them
+with exit 2.  The pool lanes additionally accept ``--trace-sample N``:
+sample every Nth wire request for an end-to-end distributed trace
+(client encode -> net wait -> server dispatch/lock wait/park/reply ->
+client decode), served on ``/traces`` and exported as schema-v5
+``reqtrace`` telemetry records.
 """
 
 from __future__ import annotations
@@ -63,14 +64,13 @@ import argparse
 import json
 import os
 import re
-import shutil
 import sys
-import tempfile
 import time
 from typing import List, Optional, Union
 
 from repro.analysis.waitprofile import analyze_run
 from repro.core.params import TuningParameters
+from repro.errors import ConfigurationError
 from repro.obs.events import load_runs
 from repro.service.capture import DemandTraceRecorder
 from repro.service.driver import DriverReport, LoadDriver
@@ -168,15 +168,14 @@ def _add_net_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--net",
         action="store_true",
-        help="drive the load over the wire protocol (server + client "
-        "stack in this process) instead of in-process calls",
+        help="drive the load over the wire protocol through the worker "
+        "pool (Unix-domain sockets) instead of in-process calls",
     )
     parser.add_argument(
         "--workers",
         type=int,
-        default=0,
-        help="fork N worker processes behind the net stack (requires "
-        "--net; 0 = single in-process service behind one socket)",
+        default=1,
+        help="worker processes of the pool (default 1; must be positive)",
     )
     parser.add_argument(
         "--pool-size",
@@ -190,8 +189,8 @@ def _add_net_args(parser: argparse.ArgumentParser) -> None:
         default=0,
         metavar="N",
         help="sample every Nth network request for an end-to-end "
-        "distributed trace (0 = off, the default; requires --net "
-        "--workers; traces land on /traces and in --telemetry)",
+        "distributed trace (0 = off, the default; requires the worker "
+        "pool; traces land on /traces and in --telemetry)",
     )
 
 
@@ -429,14 +428,30 @@ def _exit_status(failures: List[str], label: str, ok: str) -> int:
     return 0
 
 
-def _build_pool(args: argparse.Namespace) -> WorkerPoolStack:
-    return WorkerPoolStack(
-        WorkerPoolConfig(
-            workers=args.workers,
-            trace_sample_every=getattr(args, "trace_sample", 0),
-            **_config_kwargs(args),
+def _build_pool(args: argparse.Namespace) -> Optional[WorkerPoolStack]:
+    """The worker pool behind ``--net`` and ``serve``.
+
+    Options the pool does not implement are usage errors: a message on
+    stderr and None (the caller exits 2), never a silently lesser pool.
+    """
+    try:
+        if args.shards > 0:
+            raise ConfigurationError(
+                "--shards is not supported by the worker pool; use --workers"
+            )
+        return WorkerPoolStack(
+            WorkerPoolConfig(
+                workers=args.workers,
+                trace_sample_every=args.trace_sample,
+                span_sample_every=args.span_sample,
+                wait_profile=args.wait_profile,
+                broker=args.broker,
+                **_config_kwargs(args),
+            )
         )
-    )
+    except ConfigurationError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return None
 
 
 def _print_pool_report(pool: WorkerPoolStack, report: DriverReport) -> None:
@@ -484,8 +499,10 @@ def _print_pool_report(pool: WorkerPoolStack, report: DriverReport) -> None:
     )
 
 
-def _net_stress_pool(args: argparse.Namespace) -> int:
+def _net_stress(args: argparse.Namespace) -> int:
     pool = _build_pool(args)
+    if pool is None:
+        return 2
     pool.start()
     try:
         _announce_ops(pool)
@@ -516,47 +533,6 @@ def _net_stress_pool(args: argparse.Namespace) -> int:
     )
 
 
-def _net_stress_single(args: argparse.Namespace) -> int:
-    from repro.net.client import NetClientStack
-    from repro.net.server import serve_service
-
-    if args.shards > 0:
-        print("stress: --net --shards is not supported; use --workers",
-              file=sys.stderr)
-        return 2
-    stack = _build_stack(args)
-    sock_dir = tempfile.mkdtemp(prefix="repro-net-")
-    sock = os.path.join(sock_dir, "service.sock")
-    with stack:
-        _announce_ops(stack)
-        server = serve_service(stack.service, path=sock)
-        try:
-            with NetClientStack(
-                f"unix:{sock}",
-                0,
-                pool_size=args.pool_size,
-                max_in_flight=max(4, args.threads),
-                max_queue_depth=4 * max(4, args.threads),
-            ) as client:
-                driver = LoadDriver(
-                    client,
-                    threads=args.threads,
-                    requests_per_thread=_requests_per_thread(args),
-                    duration_s=args.duration,
-                    seed=args.seed,
-                )
-                report = driver.run()
-        finally:
-            server.stop()
-            shutil.rmtree(sock_dir, ignore_errors=True)
-    _print_report(stack, report)
-    return _exit_status(
-        _load_failures(args, report) + _check_shutdown_accounting(stack),
-        "NET STRESS",
-        "net stress OK: exact accounting verified at shutdown",
-    )
-
-
 def _serve_until_done(duration_s: Optional[float]) -> None:
     """Block for ``duration_s`` (None = until Ctrl-C)."""
     print("serving (Ctrl-C to stop)", flush=True)
@@ -569,51 +545,23 @@ def _serve_until_done(duration_s: Optional[float]) -> None:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    if args.workers > 0:
-        pool = _build_pool(args)
-        pool.start()
-        try:
-            _announce_ops(pool)
-            for endpoint, _port in pool.endpoints:
-                print(f"worker endpoint: {endpoint}", flush=True)
-            _serve_until_done(args.duration)
-        finally:
-            pool.stop()
-        rec = pool.reconciliation
-        print(
-            f"reconciliation: {rec.reported_blocks}/{rec.expected_blocks} "
-            f"blocks {'OK' if rec.ok else 'MISMATCH'}"
-        )
-        return 0 if rec.ok else 1
-
-    from repro.net.server import serve_service
-
-    stack = _build_stack(args)
-    with stack:
-        _announce_ops(stack)
-        server = serve_service(
-            stack.service,
-            host=args.host,
-            port=args.port,
-            path=args.socket,
-            metrics=stack.metrics,
-        )
-        try:
-            if args.socket:
-                print(f"serving on unix:{args.socket}", flush=True)
-            else:
-                host, port = server.address
-                print(f"serving on {host}:{port}", flush=True)
-            _serve_until_done(args.duration)
-        finally:
-            server.stop()
-    failures = _check_shutdown_accounting(stack)
-    if failures:
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("clean shutdown: exact accounting verified")
-    return 0
+    pool = _build_pool(args)
+    if pool is None:
+        return 2
+    pool.start()
+    try:
+        _announce_ops(pool)
+        for endpoint, _port in pool.endpoints:
+            print(f"worker endpoint: {endpoint}", flush=True)
+        _serve_until_done(args.duration)
+    finally:
+        pool.stop()
+    rec = pool.reconciliation
+    print(
+        f"reconciliation: {rec.reported_blocks}/{rec.expected_blocks} "
+        f"blocks {'OK' if rec.ok else 'MISMATCH'}"
+    )
+    return 0 if rec.ok else 1
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -637,13 +585,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_stress(args: argparse.Namespace) -> int:
-    if args.workers > 0 and not args.net:
-        print("stress: --workers requires --net", file=sys.stderr)
-        return 2
     if args.net:
-        if args.workers > 0:
-            return _net_stress_pool(args)
-        return _net_stress_single(args)
+        return _net_stress(args)
+    if args.workers != 1 or args.trace_sample != 0:
+        print(
+            "stress: --workers and --trace-sample require --net",
+            file=sys.stderr,
+        )
+        return 2
     stack = _build_stack(args)
     with stack:
         _announce_ops(stack)
@@ -894,23 +843,10 @@ def build_parser() -> argparse.ArgumentParser:
     stress.set_defaults(func=cmd_stress)
 
     serve = sub.add_parser(
-        "serve",
-        help="stand up a lock server (single service or --workers pool)",
+        "serve", help="stand up the worker pool until interrupted"
     )
     _add_load_args(serve)
     _add_net_args(serve)
-    serve.add_argument(
-        "--host", default="127.0.0.1", help="bind host (single service)"
-    )
-    serve.add_argument(
-        "--port", type=int, default=0, help="bind port (0 = ephemeral)"
-    )
-    serve.add_argument(
-        "--socket",
-        default=None,
-        metavar="PATH",
-        help="serve a Unix-domain socket instead of TCP (single service)",
-    )
     serve.set_defaults(func=cmd_serve)
 
     capture = sub.add_parser(

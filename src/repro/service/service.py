@@ -337,13 +337,12 @@ class LockService:
         mode: LockMode,
         timeout_s: object = _USE_DEFAULT,
     ) -> bool:
-        """Fast-path-only :meth:`lock_row` for a pre-validated caller.
+        """Fast-path-only :meth:`lock_row`.
 
-        The sharded facade has already checked the session registry and
-        holds the per-session in-flight exclusion, so only the closed
-        check stands between it and the manager's immediate-grant
-        attempt.  Returns False (nothing mutated, nothing counted) when
-        the request needs the full generator path -- the caller then
+        Returns False (nothing mutated, nothing counted) when the
+        request needs the full generator path -- including an app with
+        no open session or with a request already in flight, which
+        :meth:`lock_row` then refuses or serializes -- and the caller
         falls back to :meth:`lock_row`.
         """
         if timeout_s is _USE_DEFAULT:
@@ -354,7 +353,11 @@ class LockService:
         self.env.latch_acquire()
         try:
             self._ensure_open()
-            if self.manager.lock_row_fast(app_id, table_id, row_id, mode):
+            if (
+                app_id in self._sessions
+                and app_id not in self._active_requests
+                and self.manager.lock_row_fast(app_id, table_id, row_id, mode)
+            ):
                 self.stats.requests += 1
                 self.stats.granted += 1
                 if self._metrics is not None:

@@ -372,8 +372,7 @@ class ShardedLockService:
         """Route to the owning shard; semantics of
         :meth:`LockService.lock_row`."""
         # Inlined _route plus the shard's uncontended fast path: the
-        # facade has validated the session and holds its in-flight
-        # lock, so the shard can skip its own registry re-checks.
+        # facade validates the session and holds its in-flight lock.
         entry = self._sessions.get(app_id)
         if entry is None:
             raise ServiceError(f"session {app_id} is not open")

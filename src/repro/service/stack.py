@@ -82,10 +82,6 @@ class ServiceConfig:
     #: Sample every Nth request's admission->grant->release span
     #: (0 = off, keeping hot paths at the one-None-check contract).
     span_sample_every: int = 0
-    #: Sample every Nth network request for an end-to-end distributed
-    #: trace (0 = off; only the networked client/worker path traces --
-    #: see :mod:`repro.obs.tracing`).  Off costs one ``is None`` check.
-    trace_sample_every: int = 0
     #: Ring-buffer bound of the STMM decision audit log.
     audit_capacity: int = 256
     #: Enable the wait-event profiler (lock waits with blocker
@@ -152,11 +148,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"span_sample_every must be non-negative, "
                 f"got {self.span_sample_every}"
-            )
-        if self.trace_sample_every < 0:
-            raise ConfigurationError(
-                f"trace_sample_every must be non-negative, "
-                f"got {self.trace_sample_every}"
             )
         if self.audit_capacity <= 0:
             raise ConfigurationError(

@@ -120,6 +120,10 @@ class WorkerPoolConfig(ServiceConfig):
     socket_dir: Optional[str] = None
     #: Reader/executor threads of each worker's socket server.
     executor_threads: int = 8
+    #: Sample every Nth network request for an end-to-end distributed
+    #: trace (0 = off; see :mod:`repro.obs.tracing`).  Off costs one
+    #: ``is None`` check.
+    trace_sample_every: int = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -127,6 +131,18 @@ class WorkerPoolConfig(ServiceConfig):
             raise ConfigurationError(
                 f"workers must be positive, got {self.workers}"
             )
+        if self.trace_sample_every < 0:
+            raise ConfigurationError(
+                f"trace_sample_every must be non-negative, "
+                f"got {self.trace_sample_every}"
+            )
+        # Inherited options the pool does not implement: refuse them
+        # rather than build a pool that silently lacks them.
+        for name in ("broker", "wait_profile", "span_sample_every"):
+            if getattr(self, name):
+                raise ConfigurationError(
+                    f"the worker pool does not implement {name}"
+                )
         check_scale_out(self, self.workers, "workers")
 
 

@@ -1,6 +1,6 @@
 """Wire-protocol codec and framing edge cases.
 
-The framing layer has to survive everything a TCP stream does to
+The framing layer has to survive everything a stream socket does to
 message boundaries: single-byte dribbles, length prefixes torn across
 reads, many frames coalesced into one read, and hostile length
 announcements.  The codec side must round-trip every operation and

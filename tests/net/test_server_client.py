@@ -1,10 +1,11 @@
 """End-to-end socket server + client library behavior.
 
-A real :class:`ServiceStack` behind a real socket (TCP and Unix
-domain), driven by the client library: session lifecycle and
-recycling, pipelined requests, error classes crossing the wire,
-disconnect cleanup, reconnect after a server restart, and the
-oversized-frame teardown.
+A real :class:`ServiceStack` behind a real Unix-domain socket
+(:class:`ThreadedLockServer` over :class:`ServiceBackend`), driven by
+the routed client with one endpoint -- the shape every worker of the
+pool serves: session lifecycle and recycling, pipelined requests, error
+classes crossing the wire, disconnect cleanup, reconnect after a server
+restart, and the oversized-frame teardown.
 """
 
 import socket
@@ -17,8 +18,12 @@ import pytest
 from repro.lockmgr.manager import LockTimeoutError
 from repro.lockmgr.modes import LockMode
 from repro.net import protocol as wire
-from repro.net.client import ConnectionLostError, LockClient, NetClientStack
-from repro.net.server import serve_service
+from repro.net.client import (
+    ConnectionLostError,
+    RoutedClientStack,
+    RoutedLockClient,
+)
+from repro.net.server import ServiceBackend, ThreadedLockServer
 from repro.service.stack import ServiceConfig, ServiceStack
 
 
@@ -32,6 +37,12 @@ def small_config() -> ServiceConfig:
     )
 
 
+def start_server(stack, sock_path: str) -> ThreadedLockServer:
+    server = ThreadedLockServer(ServiceBackend(stack.service), path=sock_path)
+    server.start()
+    return server
+
+
 @pytest.fixture()
 def stack():
     with ServiceStack(small_config()) as service_stack:
@@ -39,15 +50,15 @@ def stack():
 
 
 @pytest.fixture()
-def server(stack):
-    srv = serve_service(stack.service, host="127.0.0.1", port=0)
+def server(stack, tmp_path):
+    srv = start_server(stack, str(tmp_path / "svc.sock"))
     yield srv
     srv.stop()
 
 
 @pytest.fixture()
 def client(server):
-    with LockClient(*server.address, pool_size=2) as lock_client:
+    with RoutedLockClient([server.address], pool_size=2) as lock_client:
         yield lock_client
 
 
@@ -63,7 +74,7 @@ def wait_until(predicate, timeout_s: float = 5.0) -> bool:
 class TestRoundTrips:
     def test_ping_and_stats(self, client):
         client.ping()
-        payload = client.stats()
+        [payload] = client.stats()
         assert payload["sessions"] == 0
         assert "service" in payload and "manager" in payload
 
@@ -91,8 +102,42 @@ class TestRoundTrips:
         client.close_session(app)
 
     def test_unknown_app_is_a_service_error(self, client):
+        # Refused client-side for an app this client never opened ...
         with pytest.raises(wire.ServiceError):
             client.lock_row(999_999, 1, 1, LockMode.X)
+        # ... and server-side when the frame reaches the service anyway.
+        mode = wire.wire_mode(LockMode.X)
+        with pytest.raises(wire.ServiceError):
+            client._conn(0).request(
+                lambda rid: wire.pack_lock_row_frame(
+                    rid, 999_999, 1, 1, mode, None
+                ),
+                raw=True,
+            )
+
+    def test_request_of_a_waiting_app_is_refused(self, client, stack):
+        # The inline fast path must not grant a second request to an
+        # app whose first one is parked on the executor.
+        holder = client.open_session()
+        waiter = client.open_session()
+        client.lock_row(holder, 7, 7, LockMode.X)
+        errors = []
+
+        def wait() -> None:
+            try:
+                client.lock_row(waiter, 7, 7, LockMode.X, timeout_s=5.0)
+            except Exception as exc:  # noqa: BLE001 - collected
+                errors.append(exc)
+
+        thread = threading.Thread(target=wait)
+        thread.start()
+        assert wait_until(lambda: waiter in stack.service.waiting_sessions())
+        with pytest.raises(wire.ServiceError, match="in flight"):
+            client.lock_row(waiter, 8, 8, LockMode.X)
+        client.close_session(holder)
+        thread.join(timeout=5.0)
+        assert errors == []
+        client.close_session(waiter)
 
     def test_timeout_error_class_crosses_the_wire(self, client):
         holder = client.open_session()
@@ -106,16 +151,14 @@ class TestRoundTrips:
 
 class TestSessionLifecycle:
     def test_scope_recycles_the_session(self, server):
-        # Recycling is per-connection: pin the pool to one socket so
-        # both scopes land on it.
-        with LockClient(*server.address, pool_size=1) as lock_client:
+        with RoutedLockClient([server.address], pool_size=1) as lock_client:
             with lock_client.session() as first:
                 lock_client.lock_row(first, 1, 1, LockMode.X)
             with lock_client.session() as second:
                 lock_client.lock_row(second, 1, 1, LockMode.X)
             # Scope exit released the locks (fire-and-forget
-            # release_all is ordered by the TCP stream) and parked
-            # the session for the second scope to adopt.
+            # release_all is ordered by the stream) and parked the
+            # session for the second scope to take.
             assert second == first
             assert lock_client.session_count == 1
 
@@ -128,7 +171,7 @@ class TestSessionLifecycle:
         assert stack.chain.used_slots == 0
 
     def test_disconnect_force_closes_sessions(self, server, stack):
-        lock_client = LockClient(*server.address, pool_size=1)
+        lock_client = RoutedLockClient([server.address], pool_size=1)
         app = lock_client.open_session()
         lock_client.lock_row(app, 1, 1, LockMode.X)
         assert stack.service.session_count() == 1
@@ -140,7 +183,7 @@ class TestSessionLifecycle:
 
 class TestPipelining:
     def test_concurrent_threads_on_a_small_pool(self, server):
-        with LockClient(*server.address, pool_size=1) as lock_client:
+        with RoutedLockClient([server.address], pool_size=1) as lock_client:
             errors = []
 
             def worker(i: int) -> None:
@@ -164,10 +207,10 @@ class TestPipelining:
 
 
 class TestReconnect:
-    def test_client_survives_server_restart(self, stack):
-        first = serve_service(stack.service, host="127.0.0.1", port=0)
-        host, port = first.address
-        lock_client = LockClient(host, port, pool_size=1)
+    def test_client_survives_server_restart(self, stack, tmp_path):
+        sock_path = str(tmp_path / "svc.sock")
+        first = start_server(stack, sock_path)
+        lock_client = RoutedLockClient([first.address], pool_size=1)
         try:
             app = lock_client.open_session()
             lock_client.lock_row(app, 1, 1, LockMode.X)
@@ -175,7 +218,7 @@ class TestReconnect:
             # In-flight state is gone: the session died with its socket.
             with pytest.raises((ConnectionLostError, wire.ServiceError)):
                 lock_client.lock_row(app, 1, 2, LockMode.X)
-            second = serve_service(stack.service, host=host, port=port)
+            second = start_server(stack, sock_path)
             try:
                 # Next use reconnects transparently; new scopes work.
                 # (The old session's server-side state survives a
@@ -191,7 +234,7 @@ class TestReconnect:
             lock_client.close()
 
 
-def _can_ping(lock_client: LockClient) -> bool:
+def _can_ping(lock_client: RoutedLockClient) -> bool:
     try:
         lock_client.ping()
         return True
@@ -201,10 +244,10 @@ def _can_ping(lock_client: LockClient) -> bool:
 
 class TestFraming:
     def test_oversized_frame_tears_the_connection_down(self, server):
-        host, port = server.address
-        with socket.create_connection((host, port), timeout=5.0) as sock:
-            sock.sendall(struct.pack("!I", wire.MAX_FRAME_BYTES + 1))
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
             sock.settimeout(5.0)
+            sock.connect(server.path)
+            sock.sendall(struct.pack("!I", wire.MAX_FRAME_BYTES + 1))
             # The server answers with one ProtocolError frame, then
             # closes the connection -- it never buffers the body.
             data = b""
@@ -220,31 +263,30 @@ class TestFraming:
             assert wire.ERROR_CODES[resp.error_code] is wire.ProtocolError
 
         # And the server still serves new connections afterwards.
-        with LockClient(host, port) as lock_client:
+        with RoutedLockClient([server.address]) as lock_client:
             lock_client.ping()
 
     def test_no_reply_ordering(self, server, stack):
         # A fire-and-forget release_all is ordered before the next
         # request on the same stream: the lock must be free by the
         # time a second session asks for it.
-        with LockClient(*server.address, pool_size=1) as lock_client:
+        with RoutedLockClient([server.address], pool_size=1) as lock_client:
             app = lock_client.open_session()
             lock_client.lock_row(app, 1, 1, LockMode.X)
-            conn = lock_client._session_conn(app)
+            [conn] = lock_client._rec(app).conns.values()
             conn.send_only(wire.encode_release_all(0, app, no_reply=True))
             other = lock_client.open_session()
             lock_client.lock_row(other, 1, 1, LockMode.X, timeout_s=0.5)
 
 
 class TestUnixDomain:
-    def test_uds_roundtrip(self, stack, tmp_path):
-        sock_path = str(tmp_path / "svc.sock")
-        server = serve_service(stack.service, path=sock_path)
-        try:
-            with NetClientStack(*server.address, pool_size=1) as net:
-                assert net.service.host.startswith("unix:")
-                with net.service.session() as app:
-                    net.service.lock_row(app, 1, 1, LockMode.X)
-                net.service.ping()
-        finally:
-            server.stop()
+    def test_uds_roundtrip(self, server):
+        assert server.address == (f"unix:{server.path}", 0)
+        with RoutedClientStack([server.address], pool_size=1) as net:
+            with net.service.session() as app:
+                net.service.lock_row(app, 1, 1, LockMode.X)
+            net.service.ping()
+
+    def test_endpoints_must_be_unix_domain(self):
+        with pytest.raises(ValueError):
+            RoutedLockClient([("127.0.0.1", 9000)])
